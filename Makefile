@@ -87,11 +87,9 @@ javalint-smoke:
 
 # Closed-loop load test of the grading service (spawns an in-process server)
 # and record the percentile summary. The hot phase must show the result-cache
-# path well ahead of cold grading. The scaling sweep additionally measures
-# cold/hot goodput through an in-process coordinator at 1, 2 and 4 workers
-# (see the cpus field: co-located workers time-share this machine's cores).
+# path well ahead of cold grading.
 bench-server:
-	$(GO) run ./cmd/loadgen -clients 8 -subs 64 -rounds 3 -scaling 1,2,4 -out BENCH_server.json > /dev/null
+	$(GO) run ./cmd/loadgen -clients 8 -subs 64 -rounds 3 -out BENCH_server.json > /dev/null
 
 fuzz:
 	$(GO) test ./internal/java/parser -fuzz FuzzParse -fuzztime 30s

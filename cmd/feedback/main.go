@@ -41,7 +41,6 @@ func main() {
 		list          = flag.Bool("list", false, "list the built-in assignments")
 		reference     = flag.Bool("reference", false, "grade the assignment's reference solution")
 		funcTests     = flag.Bool("functest", false, "also run the functional-test suite")
-		interpEngine  = flag.String("interp-engine", core.EngineCompiled, `functional-test interpreter back end: "compiled" (closure-compiled, cached) or "treewalk" (reference evaluator)`)
 		inlineHelpers = flag.Bool("inline", false, "inline simple helper methods before grading (future-work extension)")
 		normalizeElse = flag.Bool("normalize-else", false, "normalize else branches into negated conditions (future-work extension)")
 		jsonOut       = flag.Bool("json", false, "emit the report as JSON (for LMS integration)")
@@ -169,7 +168,7 @@ func main() {
 	// interpreter-heavy assignments.
 	var verdict *functest.Verdict
 	if *funcTests {
-		v, err := core.RunFuncTests(a.ID, a.Tests, src, *interpEngine, report.Stats)
+		v, err := core.RunFuncTests(a.ID, a.Tests, src, report.Stats)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "functional tests: %v\n", err)
 			dumpObs()

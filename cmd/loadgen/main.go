@@ -19,15 +19,7 @@
 //	loadgen -addr localhost:8080
 //	loadgen -targets host1:8080,host2:8080     # round-robin over endpoints
 //	loadgen -clients 8 -subs 64 -rounds 4 -out BENCH_server.json
-//	loadgen -scaling 1,2,4                     # in-process cluster scaling sweep
 //	loadgen                                    # no -addr: spawns an in-process server
-//
-// With -scaling, after the standalone cold/hot run the generator spins up an
-// in-process coordinator + N-worker cluster per listed N and measures the
-// same two phases through the coordinator, recording goodput and p99 per
-// cluster size. The summary carries the machine's CPU count: on a box with
-// fewer cores than workers the workers time-share, so wall-clock scaling
-// there is a lower bound, not the dedicated-hardware number.
 package main
 
 import (
@@ -39,14 +31,12 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"semfeed/internal/assignments"
-	"semfeed/internal/bench"
 	"semfeed/internal/obs"
 	"semfeed/internal/server"
 )
@@ -85,23 +75,6 @@ type phaseStats struct {
 	ByStatus map[string]classStats `json:"by_status,omitempty"`
 }
 
-// scalingRow is one cluster size's measurement from the -scaling sweep.
-type scalingRow struct {
-	Workers int `json:"workers"`
-	// Clients is the closed-loop client count used for this row (scaled with
-	// the worker count so offered concurrency grows with capacity).
-	Clients        int     `json:"clients"`
-	ColdGoodputRPS float64 `json:"cold_goodput_rps"`
-	ColdP99MS      float64 `json:"cold_p99_ms"`
-	HotGoodputRPS  float64 `json:"hot_goodput_rps"`
-	HotP99MS       float64 `json:"hot_p99_ms"`
-	Errors         int     `json:"errors"`
-	// ColdScaleVs1 / HotScaleVs1 are this row's goodput over the N=1 row's
-	// (only meaningful when the sweep includes 1).
-	ColdScaleVs1 float64 `json:"cold_scale_vs_1,omitempty"`
-	HotScaleVs1  float64 `json:"hot_scale_vs_1,omitempty"`
-}
-
 type benchOut struct {
 	Assignment string     `json:"assignment"`
 	Clients    int        `json:"clients"`
@@ -110,19 +83,15 @@ type benchOut struct {
 	Cold       phaseStats `json:"cold"`
 	Hot        phaseStats `json:"hot"`
 	Speedup    float64    `json:"hot_speedup_p50"`
-	// CPUs is runtime.NumCPU() on the measuring machine. The scaling rows
-	// run all workers in one process, so with CPUs < workers the rows
-	// measure time-shared workers — a lower bound on dedicated-hardware
-	// scaling.
-	CPUs    int          `json:"cpus,omitempty"`
-	Scaling []scalingRow `json:"scaling,omitempty"`
+	// CPUs is runtime.NumCPU() on the measuring machine: the in-process
+	// server and the closed-loop clients share these cores.
+	CPUs int `json:"cpus,omitempty"`
 }
 
 func main() {
 	var (
 		addr       = flag.String("addr", "", "server address (host:port); empty spawns an in-process server")
 		targets    = flag.String("targets", "", "comma-separated server endpoints to round-robin over (overrides -addr; host:port or full URLs)")
-		scaling    = flag.String("scaling", "", `comma-separated cluster sizes to sweep with in-process coordinator+workers, e.g. "1,2,4" (empty disables)`)
 		assignment = flag.String("assignment", "assignment1", "assignment ID to grade against")
 		clients    = flag.Int("clients", 8, "concurrent closed-loop clients")
 		subs       = flag.Int("subs", 64, "distinct synthesized submissions")
@@ -193,15 +162,6 @@ func main() {
 		res.Hot.Requests, res.Hot.P50MS, res.Hot.P95MS, res.Hot.P99MS, res.Hot.RPS, res.Hot.GoodputRPS, res.Hot.Sheds, res.Hot.Errors, res.Hot.CacheHit, res.Hot.Requests)
 	fmt.Fprintf(os.Stderr, "hot p50 speedup: %.1fx\n", res.Speedup)
 
-	if *scaling != "" {
-		rows, err := runScalingSweep(a, *scaling, sources, *clients, *rounds)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: scaling sweep: %v\n", err)
-			os.Exit(1)
-		}
-		res.Scaling = rows
-	}
-
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
@@ -216,11 +176,7 @@ func main() {
 	}
 	// Sheds (429) are deliberately not fatal: a loadgen run hot enough to
 	// trip admission control is still a valid measurement.
-	errors := res.Cold.Errors + res.Hot.Errors
-	for _, row := range res.Scaling {
-		errors += row.Errors
-	}
-	if errors > 0 {
+	if res.Cold.Errors+res.Hot.Errors > 0 {
 		os.Exit(1)
 	}
 }
@@ -244,54 +200,6 @@ func newClient(clients int) *http.Client {
 			MaxIdleConnsPerHost: clients,
 		},
 	}
-}
-
-// runScalingSweep measures cold and hot phases through an in-process
-// coordinator at each listed cluster size. Clients scale with the worker
-// count so offered concurrency grows with nominal capacity.
-func runScalingSweep(a *assignments.Assignment, sizes string, sources []string, baseClients, rounds int) ([]scalingRow, error) {
-	var rows []scalingRow
-	for _, tok := range strings.Split(sizes, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -scaling element %q", tok)
-		}
-		h, err := bench.SpawnCluster(a, n)
-		if err != nil {
-			return nil, err
-		}
-		nClients := baseClients * n
-		urls := []string{gradeURL(h.CoordAddr)}
-		client := newClient(nClients)
-		cold := runPhase(client, urls, a.ID, sources, nClients, 1)
-		hot := runPhase(client, urls, a.ID, sources, nClients, rounds)
-		h.Close()
-		row := scalingRow{
-			Workers:        n,
-			Clients:        nClients,
-			ColdGoodputRPS: cold.GoodputRPS,
-			ColdP99MS:      cold.P99MS,
-			HotGoodputRPS:  hot.GoodputRPS,
-			HotP99MS:       hot.P99MS,
-			Errors:         cold.Errors + hot.Errors,
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(os.Stderr, "scaling n=%d: cold %.0f goodput rps (p99 %.2fms)  hot %.0f goodput rps (p99 %.2fms)  %d errors\n",
-			n, row.ColdGoodputRPS, row.ColdP99MS, row.HotGoodputRPS, row.HotP99MS, row.Errors)
-	}
-	for i := range rows {
-		if rows[0].Workers == 1 && rows[0].ColdGoodputRPS > 0 {
-			rows[i].ColdScaleVs1 = rows[i].ColdGoodputRPS / rows[0].ColdGoodputRPS
-		}
-		if rows[0].Workers == 1 && rows[0].HotGoodputRPS > 0 {
-			rows[i].HotScaleVs1 = rows[i].HotGoodputRPS / rows[0].HotGoodputRPS
-		}
-	}
-	return rows, nil
 }
 
 // runPhase pushes rounds×len(sources) requests through the closed loop,

@@ -13,9 +13,10 @@ import (
 // the peer that owns the key — the same (assignment, source hash) routing
 // the coordinator uses, so the owner is the node most likely to have graded
 // it. Keys this worker owns itself are a local miss by definition (there is
-// no better copy elsewhere), and writes are never pushed: the owner writes
-// its own results, replicas pull on demand. This is what warms a worker that
-// joined (or rejoined after a crash) from its peers instead of regrading.
+// no better copy elsewhere). It is a store.Getter, so writes are never
+// pushed: the owner writes its own results, replicas pull on demand. This
+// is what warms a worker that joined (or rejoined after a crash) from its
+// peers instead of regrading.
 type peerRing struct {
 	self  string
 	ring  atomic.Pointer[Ring]
@@ -62,9 +63,3 @@ func (p *peerRing) Get(k store.Key) ([]byte, bool) {
 	}
 	return body, ok
 }
-
-// Put is a no-op: the remote tier is read-only (see type comment).
-func (p *peerRing) Put(store.Key, []byte) {}
-
-// Len is unknown for the remote tier.
-func (p *peerRing) Len() int { return 0 }

@@ -1,26 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"semfeed/internal/functest"
-	"semfeed/internal/java/parser"
 	"semfeed/internal/obs"
 )
 
-// Interpreter engine names accepted by RunFuncTests (and the CLI's
-// -interp-engine flag).
-const (
-	// EngineCompiled executes closure-compiled programs through the
-	// source-hash cache — the default, and the hot path.
-	EngineCompiled = "compiled"
-	// EngineTreeWalk executes on the tree-walking reference evaluator; kept
-	// for A/B comparison and differential debugging.
-	EngineTreeWalk = "treewalk"
-)
-
-// RunFuncTests executes an assignment's functional-test suite as an
+// RunFuncTests executes an assignment's functional-test suite on the
+// compiled interpreter (through the source-hash program cache) as an
 // attributable phase: it opens a span, slices semfeed_phase_ns under
 // "functest" (and "interp_compile" for the lowering share), and stamps the
 // verdict's cost onto stats when non-nil.
@@ -29,30 +17,15 @@ const (
 // functest.ProgramCache stats (counted by the cache itself, so they populate
 // with metrics collection off), which means concurrent suites would
 // cross-attribute; the CLI and bench harness run suites sequentially.
-func RunFuncTests(id string, suite *functest.Suite, src, engine string, stats *Stats) (functest.Verdict, error) {
+func RunFuncTests(id string, suite *functest.Suite, src string, stats *Stats) (functest.Verdict, error) {
 	sp := obs.StartTrace("functest/" + id)
 	cs0 := functest.ProgramCache.Stats()
 
 	t0 := time.Now()
-	var verdict functest.Verdict
-	switch engine {
-	case EngineCompiled, "":
-		v, err := suite.RunSource(src)
-		if err != nil {
-			sp.End()
-			return functest.Verdict{}, err
-		}
-		verdict = v
-	case EngineTreeWalk:
-		unit, err := parser.Parse(src)
-		if err != nil {
-			sp.End()
-			return functest.Verdict{}, err
-		}
-		verdict = suite.RunTreeWalk(unit)
-	default:
+	verdict, err := suite.RunSource(src)
+	if err != nil {
 		sp.End()
-		return functest.Verdict{}, fmt.Errorf("unknown interpreter engine %q (want %s or %s)", engine, EngineCompiled, EngineTreeWalk)
+		return functest.Verdict{}, err
 	}
 	elapsed := time.Since(t0)
 	cs1 := functest.ProgramCache.Stats()

@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"semfeed/internal/java/pretty"
 )
@@ -167,7 +168,16 @@ func (t *Template) Match(gamma map[string]string, renderings []string) bool {
 	return false
 }
 
-var regexCache sync.Map // string -> *regexp.Regexp
+// regexCacheCap bounds regexCache. Its keys are γ-substituted patterns, one
+// per student naming of the pattern variables, so the key space is
+// controlled by submissions. Past the cap a pattern is compiled per use and
+// not stored.
+const regexCacheCap = 1024
+
+var (
+	regexCache    sync.Map // string -> *regexp.Regexp
+	regexCacheLen atomic.Int64
+)
 
 func matchRegexAlt(body string, gamma map[string]string, renderings []string) bool {
 	pat := body
@@ -185,7 +195,13 @@ func matchRegexAlt(body string, gamma map[string]string, renderings []string) bo
 		if err != nil {
 			return false
 		}
-		regexCache.Store(pat, compiled)
+		// Reserve a slot before storing, so concurrent misses never push
+		// the cache past the cap.
+		if regexCacheLen.Add(1) > regexCacheCap {
+			regexCacheLen.Add(-1)
+		} else if _, loaded := regexCache.LoadOrStore(pat, compiled); loaded {
+			regexCacheLen.Add(-1)
+		}
 		re = compiled
 	}
 	for _, r := range renderings {

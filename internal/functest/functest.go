@@ -81,10 +81,10 @@ func (s *Suite) RunProgram(prog *interp.Program) Verdict {
 	})
 }
 
-// RunTreeWalk executes the suite on the tree-walking reference engine. It
-// exists for A/B comparison against the compiled default (the -interp-engine
-// flag) and as the slow side of differential testing; grading should use Run
-// or RunProgram.
+// RunTreeWalk executes the suite on the tree-walking reference engine. It is
+// a test oracle only: the reference side of BenchmarkInterpTreeWalk and of
+// differential testing against the compiled engine; grading uses Run or
+// RunProgram.
 func (s *Suite) RunTreeWalk(unit *ast.CompilationUnit) Verdict {
 	return s.runCases(func(args []interp.Value, cfg interp.Config) (*interp.Result, error) {
 		return interp.RunTreeWalk(unit, s.Entry, args, cfg)

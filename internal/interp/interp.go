@@ -113,9 +113,9 @@ func Run(unit *ast.CompilationUnit, entry string, args []Value, cfg Config) (*Re
 }
 
 // RunTreeWalk executes the entry method with the original tree-walking
-// evaluator. It is kept as the semantic reference for the compiled engine:
-// the differential fuzzer asserts both agree on value, output, error and
-// step count. Hot paths should use Run / Program.Run instead.
+// evaluator. It is a test oracle, not a production engine: the differential
+// fuzzer and the parity corpus assert the compiled engine agrees with it on
+// value, output, error and step count. Grading uses Run / Program.Run.
 func RunTreeWalk(unit *ast.CompilationUnit, entry string, args []Value, cfg Config) (res *Result, err error) {
 	obs.InterpRunsTotal.Inc()
 	m := &machine{

@@ -87,7 +87,7 @@ func VersionString(tool string) string {
 
 // BuildInfoGauge is the conventional constant gauge: value 1, identity in
 // the labels, so dashboards can annotate deploys by joining on revision.
-var BuildInfoGauge = NewLabeledGauge("semfeed_build_info",
+var BuildInfoGauge = NewGauge("semfeed_build_info",
 	"Build identity of the running binary (constant 1; identity in the labels).",
 	"revision", "go_version")
 

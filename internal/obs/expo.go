@@ -2,11 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -72,49 +70,32 @@ func TakeSnapshot() Snapshot { return Default.Snapshot() }
 // Snapshot copies the registry's current values. Labeled families report
 // their aggregate across all label sets under the bare family name, so
 // callers summing totals (tests, dumpObs) need not care whether a metric
-// grew labels.
+// grew labels. Labeled gauges have no meaningful aggregate and stay out.
 func (r *Registry) Snapshot() Snapshot {
-	cs, gs, hs := r.snapshotLists()
-	lcs, _, lhs := r.snapshotLabeled()
 	snap := Snapshot{
-		Counters:   make(map[string]int64, len(cs)+len(lcs)),
-		Gauges:     make(map[string]int64, len(gs)),
-		Histograms: make(map[string]HistogramSnapshot, len(hs)+len(lhs)),
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]HistogramSnapshot{},
 	}
-	for _, c := range cs {
-		snap.Counters[c.name] = c.Value()
-	}
-	for _, g := range gs {
-		snap.Gauges[g.name] = g.Value()
-	}
-	for _, h := range hs {
-		buckets := make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			buckets[i] = h.buckets[i].Load()
-		}
-		snap.Histograms[h.name] = HistogramSnapshot{
-			Count:   h.Count(),
-			Sum:     h.Sum(),
-			P50:     h.Quantile(0.50),
-			P95:     h.Quantile(0.95),
-			P99:     h.Quantile(0.99),
-			Bounds:  h.bounds,
-			Buckets: buckets,
-		}
-	}
-	for _, c := range lcs {
-		snap.Counters[c.vec.name] = c.Total()
-	}
-	for _, h := range lhs {
-		count, sum, buckets := h.aggregate()
-		snap.Histograms[h.vec.name] = HistogramSnapshot{
-			Count:   count,
-			Sum:     sum,
-			P50:     bucketQuantile(h.bounds, buckets, 0.50),
-			P95:     bucketQuantile(h.bounds, buckets, 0.95),
-			P99:     bucketQuantile(h.bounds, buckets, 0.99),
-			Bounds:  h.bounds,
-			Buckets: buckets,
+	for _, f := range r.families() {
+		switch f.kind {
+		case "counter":
+			snap.Counters[f.name] = f.counterTotal()
+		case "gauge":
+			if f.plain != nil {
+				snap.Gauges[f.name] = f.plain.v.Load()
+			}
+		case "histogram":
+			count, sum, buckets := f.aggregate()
+			snap.Histograms[f.name] = HistogramSnapshot{
+				Count:   count,
+				Sum:     sum,
+				P50:     bucketQuantile(f.bounds, buckets, 0.50),
+				P95:     bucketQuantile(f.bounds, buckets, 0.95),
+				P99:     bucketQuantile(f.bounds, buckets, 0.99),
+				Bounds:  f.bounds,
+				Buckets: buckets,
+			}
 		}
 	}
 	return snap
@@ -124,66 +105,43 @@ func (r *Registry) Snapshot() Snapshot {
 func WriteProm(w io.Writer) error { return Default.WriteProm(w) }
 
 // WriteProm writes the registry in Prometheus text exposition format
-// (version 0.0.4): HELP/TYPE headers, counters and gauges as single samples,
-// histograms as cumulative le-buckets plus _sum and _count.
+// (version 0.0.4), family by family in exposition order.
 func (r *Registry) WriteProm(w io.Writer) error {
-	cs, gs, hs := r.snapshotLists()
-	for _, c := range cs {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.Value()); err != nil {
-			return err
-		}
-	}
-	for _, g := range gs {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			g.name, g.help, g.name, g.name, g.Value()); err != nil {
-			return err
-		}
-	}
-	for _, h := range hs {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name); err != nil {
-			return err
-		}
-		var cum int64
-		for i, bound := range h.bounds {
-			cum += h.buckets[i].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n",
-				h.name, strconv.FormatFloat(bound, 'g', -1, 64), cum); err != nil {
-				return err
-			}
-		}
-		cum += h.buckets[len(h.bounds)].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-			h.name, cum, h.name, h.Sum(), h.name, h.Count()); err != nil {
-			return err
-		}
-	}
-	lcs, lgs, lhs := r.snapshotLabeled()
-	for _, c := range lcs {
-		if err := c.writeProm(w); err != nil {
-			return err
-		}
-	}
-	for _, g := range lgs {
-		if err := g.writeProm(w); err != nil {
-			return err
-		}
-	}
-	for _, h := range lhs {
-		if err := h.writeProm(w); err != nil {
+	for _, f := range r.families() {
+		if err := f.writeProm(w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// ExemplarRef is one bucket→trace link, as surfaced on /statusz.
+type ExemplarRef struct {
+	Metric  string  `json:"metric"`
+	Labels  string  `json:"labels"`
+	LE      string  `json:"le"`
+	TraceID string  `json:"trace_id"`
+	Value   float64 `json:"value"`
+}
+
 // Exemplars lists every live bucket→trace exemplar across the registry's
-// labeled histograms (surfaced on /statusz).
+// histograms (surfaced on /statusz).
 func (r *Registry) Exemplars() []ExemplarRef {
-	_, _, lhs := r.snapshotLabeled()
 	var out []ExemplarRef
-	for _, h := range lhs {
-		out = append(out, h.exemplarRefs()...)
+	for _, f := range r.families() {
+		for _, s := range f.snapshotSeries() {
+			for i := range s.exemplars {
+				if ex := s.exemplars[i].Load(); ex != nil {
+					out = append(out, ExemplarRef{
+						Metric:  f.name,
+						Labels:  f.labelPairs(s, ""),
+						LE:      leBound(f.bounds, i),
+						TraceID: ex.TraceID,
+						Value:   ex.Value,
+					})
+				}
+			}
+		}
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 
 func TestLabeledCounterChildren(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("lab_total", "help", "assignment", "status")
+	c := r.NewCounter("lab_total", "help", "assignment", "status")
 	withCollection(t, func() {
 		c.Add(2, "a1", "ok")
 		c.Add(1, "a1", "error")
@@ -31,7 +31,7 @@ func TestLabeledCounterChildren(t *testing.T) {
 
 func TestLabeledCounterDisabledGate(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("lab_gate_total", "help", "k")
+	c := r.NewCounter("lab_gate_total", "help", "k")
 	Disable()
 	c.Add(5, "v")
 	if c.Total() != 0 || c.Value("v") != 0 {
@@ -41,7 +41,7 @@ func TestLabeledCounterDisabledGate(t *testing.T) {
 
 func TestLabeledCardinalityCap(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("lab_cap_total", "help", "k")
+	c := r.NewCounter("lab_cap_total", "help", "k")
 	c.SetLimit(3)
 	withCollection(t, func() {
 		before := LabelsDroppedTotal.Value()
@@ -68,7 +68,7 @@ func TestLabeledCardinalityCap(t *testing.T) {
 
 func TestLabeledArityMismatchDropped(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("lab_arity_total", "help", "a", "b")
+	c := r.NewCounter("lab_arity_total", "help", "a", "b")
 	withCollection(t, func() {
 		before := LabelsDroppedTotal.Value()
 		c.Add(1)                // zero values
@@ -82,7 +82,7 @@ func TestLabeledArityMismatchDropped(t *testing.T) {
 
 func TestLabeledGauge(t *testing.T) {
 	r := &Registry{}
-	g := r.NewLabeledGauge("lab_info", "help", "revision")
+	g := r.NewGauge("lab_info", "help", "revision")
 	withCollection(t, func() {
 		g.Set(1, "abc123")
 		g.Add(2, "abc123")
@@ -94,7 +94,7 @@ func TestLabeledGauge(t *testing.T) {
 
 func TestLabeledHistogramObserveAndAggregate(t *testing.T) {
 	r := &Registry{}
-	h := r.NewLabeledHistogram("lab_seconds", "help", []float64{0.001, 0.01, 0.1}, "phase")
+	h := r.NewHistogram("lab_seconds", "help", []float64{0.001, 0.01, 0.1}, "phase")
 	withCollection(t, func() {
 		for i := 0; i < 90; i++ {
 			h.Observe(0.0005, "match")
@@ -123,14 +123,14 @@ func TestLabeledHistogramObserveAndAggregate(t *testing.T) {
 
 func TestLabeledHistogramExemplar(t *testing.T) {
 	r := &Registry{}
-	h := r.NewLabeledHistogram("lab_ex_seconds", "help", []float64{0.001, 0.1}, "status")
+	h := r.NewHistogram("lab_ex_seconds", "help", []float64{0.001, 0.1}, "status")
 	withCollection(t, func() {
 		h.ObserveExemplar(0.05, "req-early", "2xx")
 		h.ObserveExemplar(0.06, "req-late", "2xx") // same bucket: replaces
 		h.ObserveExemplar(5.0, "req-slow", "2xx")  // +Inf bucket
 		h.Observe(0.07, "2xx")                     // no trace ID: keeps req-late
 	})
-	refs := h.exemplarRefs()
+	refs := r.Exemplars()
 	if len(refs) != 2 {
 		t.Fatalf("exemplar refs = %d, want 2 (one per touched bucket): %+v", len(refs), refs)
 	}
@@ -151,8 +151,8 @@ func TestLabeledHistogramExemplar(t *testing.T) {
 
 func TestLabeledExposition(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("expo_total", "counter help", "assignment", "status")
-	h := r.NewLabeledHistogram("expo_seconds", "hist help", []float64{0.01}, "phase")
+	c := r.NewCounter("expo_total", "counter help", "assignment", "status")
+	h := r.NewHistogram("expo_seconds", "hist help", []float64{0.01}, "phase")
 	withCollection(t, func() {
 		c.Add(3, "a1", "ok")
 		c.Add(1, `quo"te`, "error")
@@ -184,8 +184,8 @@ func TestLabeledSnapshotAggregates(t *testing.T) {
 	// Total() under its family name, and a labeled histogram's merged
 	// distribution, so pre-dimensional dashboards keep working.
 	r := &Registry{}
-	c := r.NewLabeledCounter("snap_lab_total", "help", "status")
-	h := r.NewLabeledHistogram("snap_lab_seconds", "help", nil, "status")
+	c := r.NewCounter("snap_lab_total", "help", "status")
+	h := r.NewHistogram("snap_lab_seconds", "help", nil, "status")
 	withCollection(t, func() {
 		c.Add(2, "ok")
 		c.Add(1, "error")
@@ -203,8 +203,8 @@ func TestLabeledSnapshotAggregates(t *testing.T) {
 
 func TestLabeledReset(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("reset_lab_total", "help", "k")
-	h := r.NewLabeledHistogram("reset_lab_seconds", "help", nil, "k")
+	c := r.NewCounter("reset_lab_total", "help", "k")
+	h := r.NewHistogram("reset_lab_seconds", "help", nil, "k")
 	withCollection(t, func() {
 		c.Add(4, "v")
 		h.Observe(0.001, "v")
@@ -221,8 +221,8 @@ func TestLabeledReset(t *testing.T) {
 func TestDescribeIncludesLabeled(t *testing.T) {
 	r := &Registry{}
 	r.NewCounter("desc_plain_total", "plain")
-	r.NewLabeledCounter("desc_lab_total", "labeled", "assignment", "phase")
-	r.NewLabeledHistogram("desc_lab_seconds", "labeled hist", nil, "status")
+	r.NewCounter("desc_lab_total", "labeled", "assignment", "phase")
+	r.NewHistogram("desc_lab_seconds", "labeled hist", nil, "status")
 	descs := r.Describe()
 	byName := map[string]MetricDesc{}
 	for _, d := range descs {
@@ -247,9 +247,9 @@ func TestDisabledLabeledHooksAllocateNothing(t *testing.T) {
 	Disable()
 	DisableTracing()
 	r := &Registry{}
-	c := r.NewLabeledCounter("noop_lab_total", "help", "a", "b")
-	g := r.NewLabeledGauge("noop_lab", "help", "a")
-	h := r.NewLabeledHistogram("noop_lab_seconds", "help", nil, "a")
+	c := r.NewCounter("noop_lab_total", "help", "a", "b")
+	g := r.NewGauge("noop_lab", "help", "a")
+	h := r.NewHistogram("noop_lab_seconds", "help", nil, "a")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(1, "x", "y")
 		g.Set(1, "x")
@@ -262,8 +262,8 @@ func TestDisabledLabeledHooksAllocateNothing(t *testing.T) {
 
 func TestLabeledConcurrency(t *testing.T) {
 	r := &Registry{}
-	c := r.NewLabeledCounter("conc_lab_total", "help", "k")
-	h := r.NewLabeledHistogram("conc_lab_seconds", "help", nil, "k")
+	c := r.NewCounter("conc_lab_total", "help", "k")
+	h := r.NewHistogram("conc_lab_seconds", "help", nil, "k")
 	withCollection(t, func() {
 		done := make(chan struct{})
 		for p := 0; p < 4; p++ {

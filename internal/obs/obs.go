@@ -51,79 +51,96 @@ func TracingEnabled() bool { return tracing.Load() }
 // ---------------------------------------------------------------------------
 // Counter
 
-// Counter is a monotonically increasing metric. The zero value is unusable;
-// create counters with NewCounter so they are registered for exposition.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
+// Counter is a monotonically increasing metric family. The zero value is
+// unusable; create counters with NewCounter so they are registered for
+// exposition. A counter created without label keys is a plain metric: its
+// one series is updated lock-free.
+type Counter struct{ family }
 
-// Add increments the counter by n when collection is enabled.
-func (c *Counter) Add(n int64) {
-	if !enabled.Load() {
-		return
+// Add increments the series for the given label values by n when collection
+// is enabled. values must match the label keys in number and order (none
+// for a plain counter). Add is small enough to inline, so a disabled hook
+// costs one load at the call site.
+func (c *Counter) Add(n int64, values ...string) {
+	if enabled.Load() {
+		c.add(n, values)
 	}
-	c.v.Add(n)
 }
 
-// Inc increments the counter by one when collection is enabled.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) add(n int64, values []string) {
+	if c.plain == nil {
+		c.labeledTotal.Add(n)
+	}
+	if s := c.child(values); s != nil {
+		s.v.Add(n)
+	}
+}
 
-// Value returns the accumulated count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Inc increments the series for the given label values by one.
+func (c *Counter) Inc(values ...string) { c.Add(1, values...) }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
+// Value returns the series' accumulated count (0 for an unseen label set).
+func (c *Counter) Value(values ...string) int64 {
+	if s := c.lookup(values); s != nil {
+		return s.v.Load()
+	}
+	return 0
+}
+
+// Total returns the aggregate across every label set, including
+// observations whose label set was dropped at the cap.
+func (c *Counter) Total() int64 { return c.counterTotal() }
 
 // ---------------------------------------------------------------------------
 // Gauge
 
-// Gauge is a metric that can go up and down (e.g. in-flight grades).
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
+// Gauge is a metric family that can go up and down (e.g. in-flight grades,
+// or semfeed_build_info{revision,go_version} 1).
+type Gauge struct{ family }
 
-// Add moves the gauge by n when collection is enabled.
-func (g *Gauge) Add(n int64) {
+// Add moves the series for the given label values by n when collection is
+// enabled.
+func (g *Gauge) Add(n int64, values ...string) {
 	if !enabled.Load() {
 		return
 	}
-	g.v.Add(n)
+	if s := g.child(values); s != nil {
+		s.v.Add(n)
+	}
 }
 
-// Inc moves the gauge up by one.
-func (g *Gauge) Inc() { g.Add(1) }
+// Inc moves the series up by one.
+func (g *Gauge) Inc(values ...string) { g.Add(1, values...) }
 
-// Dec moves the gauge down by one.
-func (g *Gauge) Dec() { g.Add(-1) }
+// Dec moves the series down by one.
+func (g *Gauge) Dec(values ...string) { g.Add(-1, values...) }
 
-// Set stores an absolute value when collection is enabled.
-func (g *Gauge) Set(n int64) {
+// Set stores an absolute value for the given label values when collection is
+// enabled.
+func (g *Gauge) Set(n int64, values ...string) {
 	if !enabled.Load() {
 		return
 	}
-	g.v.Store(n)
+	if s := g.child(values); s != nil {
+		s.v.Store(n)
+	}
 }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
+// Value returns the series' value (0 for an unseen label set).
+func (g *Gauge) Value(values ...string) int64 {
+	if s := g.lookup(values); s != nil {
+		return s.v.Load()
+	}
+	return 0
+}
 
 // ---------------------------------------------------------------------------
 // Histogram
 
-// Histogram is a bounded-bucket histogram with quantile estimation. Buckets
-// are fixed at construction; observations are lock-free atomic increments.
-type Histogram struct {
-	name, help string
-	bounds     []float64 // ascending upper bounds; implicit +Inf bucket after
-	buckets    []atomic.Int64
-	count      atomic.Int64
-	sumBits    atomic.Uint64 // float64 bits of the running sum
-}
+// Histogram is a bounded-bucket histogram family with quantile estimation
+// and per-bucket exemplars. Buckets are fixed at construction; observations
+// are lock-free atomic increments.
+type Histogram struct{ family }
 
 // DurationBuckets are the default upper bounds (seconds) for latency
 // histograms: 1µs to 10s, roughly log-spaced.
@@ -136,170 +153,155 @@ var DurationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Observe records one value when collection is enabled.
-func (h *Histogram) Observe(v float64) {
+// Observe records one value for the given label values.
+func (h *Histogram) Observe(v float64, values ...string) { h.ObserveExemplar(v, "", values...) }
+
+// ObserveDuration records a duration in seconds.
+func (h *Histogram) ObserveDuration(d time.Duration, values ...string) {
+	h.ObserveExemplar(d.Seconds(), "", values...)
+}
+
+// ObserveExemplar records one value and, when traceID is non-empty, stamps
+// it as the bucket's exemplar. The trace ID is the /v1/trace/{id} retrieval
+// key, so the exposition links percentile buckets to concrete traces.
+func (h *Histogram) ObserveExemplar(v float64, traceID string, values ...string) {
 	if !enabled.Load() {
 		return
 	}
+	s := h.child(values)
+	if s == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+	s.buckets[i].Add(1)
+	s.count.Add(1)
 	for {
-		old := h.sumBits.Load()
+		old := s.sumBits.Load()
 		upd := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, upd) {
-			return
+		if s.sumBits.CompareAndSwap(old, upd) {
+			break
 		}
+	}
+	if traceID != "" {
+		s.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+// Count returns the series' observation count (0 for an unseen label set).
+func (h *Histogram) Count(values ...string) int64 {
+	if s := h.lookup(values); s != nil {
+		return s.count.Load()
+	}
+	return 0
+}
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Sum returns the sum of the series' observed values.
+func (h *Histogram) Sum(values ...string) float64 {
+	if s := h.lookup(values); s != nil {
+		return math.Float64frombits(s.sumBits.Load())
+	}
+	return 0
+}
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts with
+// Quantile estimates the q-quantile (0 < q < 1) across every series, with
 // linear interpolation inside the located bucket. Returns 0 with no
 // observations; values in the overflow bucket report the largest bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// Overflow bucket: no upper bound to interpolate toward.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
+	_, _, buckets := h.aggregate()
+	return bucketQuantile(h.bounds, buckets, q)
 }
 
 // ---------------------------------------------------------------------------
 // Registry
 
-// Registry holds a set of named metrics. Registration takes a lock;
+// Registry holds a set of named metric families. Registration takes a lock;
 // metric updates are lock-free.
 type Registry struct {
-	mu                sync.Mutex
-	counters          []*Counter
-	gauges            []*Gauge
-	histograms        []*Histogram
-	labeledCounters   []*LabeledCounter
-	labeledGauges     []*LabeledGauge
-	labeledHistograms []*LabeledHistogram
+	mu   sync.Mutex
+	fams []*family
 }
 
 // Default is the process-wide registry the pipeline metrics live in.
 var Default = &Registry{}
 
-// NewCounter registers a counter in the default registry.
-func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
-
-// NewGauge registers a gauge in the default registry.
-func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help) }
-
-// NewHistogram registers a histogram in the default registry. A nil bounds
-// slice applies DurationBuckets.
-func NewHistogram(name, help string, bounds []float64) *Histogram {
-	return Default.NewHistogram(name, help, bounds)
+// NewCounter registers a counter family in the default registry.
+func NewCounter(name, help string, keys ...string) *Counter {
+	return Default.NewCounter(name, help, keys...)
 }
 
-// NewCounter registers a counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.mu.Lock()
-	r.counters = append(r.counters, c)
-	r.mu.Unlock()
+// NewGauge registers a gauge family in the default registry.
+func NewGauge(name, help string, keys ...string) *Gauge { return Default.NewGauge(name, help, keys...) }
+
+// NewHistogram registers a histogram family in the default registry. A nil
+// bounds slice applies DurationBuckets.
+func NewHistogram(name, help string, bounds []float64, keys ...string) *Histogram {
+	return Default.NewHistogram(name, help, bounds, keys...)
+}
+
+// NewCounter registers a counter family with the given label keys (none for
+// a plain counter).
+func (r *Registry) NewCounter(name, help string, keys ...string) *Counter {
+	c := &Counter{}
+	r.register(&c.family, "counter", name, help, nil, keys)
 	return c
 }
 
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.mu.Lock()
-	r.gauges = append(r.gauges, g)
-	r.mu.Unlock()
+// NewGauge registers a gauge family with the given label keys.
+func (r *Registry) NewGauge(name, help string, keys ...string) *Gauge {
+	g := &Gauge{}
+	r.register(&g.family, "gauge", name, help, nil, keys)
 	return g
 }
 
-// NewHistogram registers a histogram. A nil bounds slice applies
-// DurationBuckets.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+// NewHistogram registers a histogram family with the given label keys. A nil
+// bounds slice applies DurationBuckets.
+func (r *Registry) NewHistogram(name, help string, bounds []float64, keys ...string) *Histogram {
 	if bounds == nil {
 		bounds = DurationBuckets
 	}
-	h := &Histogram{name: name, help: help, bounds: bounds}
-	h.buckets = make([]atomic.Int64, len(bounds)+1)
-	r.mu.Lock()
-	r.histograms = append(r.histograms, h)
-	r.mu.Unlock()
+	h := &Histogram{}
+	r.register(&h.family, "histogram", name, help, bounds, keys)
 	return h
 }
 
-// snapshotLists returns stable copies of the metric slices for exposition.
-func (r *Registry) snapshotLists() ([]*Counter, []*Gauge, []*Histogram) {
+func (r *Registry) register(f *family, kind, name, help string, bounds []float64, keys []string) {
+	f.kind, f.name, f.help, f.bounds, f.keys = kind, name, help, bounds, keys
+	f.limit = DefaultLabelCap
+	f.children = map[string]*series{}
+	if len(keys) == 0 {
+		f.plain = f.newSeries(nil)
+		f.children[""] = f.plain
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	cs := append([]*Counter(nil), r.counters...)
-	gs := append([]*Gauge(nil), r.gauges...)
-	hs := append([]*Histogram(nil), r.histograms...)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].name < cs[j].name })
-	sort.Slice(gs, func(i, j int) bool { return gs[i].name < gs[j].name })
-	sort.Slice(hs, func(i, j int) bool { return hs[i].name < hs[j].name })
-	return cs, gs, hs
+	r.fams = append(r.fams, f)
+	r.mu.Unlock()
 }
 
-// snapshotLabeled returns stable copies of the labeled-metric slices for
-// exposition, sorted by family name.
-func (r *Registry) snapshotLabeled() ([]*LabeledCounter, []*LabeledGauge, []*LabeledHistogram) {
+// families returns the registered families in exposition order: plain
+// before labeled, each group ordered by kind (counter, gauge, histogram:
+// alphabetical), then by name.
+func (r *Registry) families() []*family {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	lcs := append([]*LabeledCounter(nil), r.labeledCounters...)
-	lgs := append([]*LabeledGauge(nil), r.labeledGauges...)
-	lhs := append([]*LabeledHistogram(nil), r.labeledHistograms...)
-	sort.Slice(lcs, func(i, j int) bool { return lcs[i].vec.name < lcs[j].vec.name })
-	sort.Slice(lgs, func(i, j int) bool { return lgs[i].vec.name < lgs[j].vec.name })
-	sort.Slice(lhs, func(i, j int) bool { return lhs[i].vec.name < lhs[j].vec.name })
-	return lcs, lgs, lhs
+	fs := append([]*family(nil), r.fams...)
+	r.mu.Unlock()
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if (a.plain == nil) != (b.plain == nil) {
+			return a.plain != nil
+		}
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		return a.name < b.name
+	})
+	return fs
 }
 
-// Len returns the number of registered metrics (labeled families count as
-// one each).
+// Len returns the number of registered metric families.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.counters) + len(r.gauges) + len(r.histograms) +
-		len(r.labeledCounters) + len(r.labeledGauges) + len(r.labeledHistograms)
+	return len(r.fams)
 }
 
 // MetricDesc describes one registered metric family for the generated
@@ -314,26 +316,10 @@ type MetricDesc struct {
 // Describe lists every registered metric family, sorted by name. Histogram
 // families imply the derived _bucket/_sum/_count series under the same name.
 func (r *Registry) Describe() []MetricDesc {
-	cs, gs, hs := r.snapshotLists()
-	lcs, lgs, lhs := r.snapshotLabeled()
-	out := make([]MetricDesc, 0, len(cs)+len(gs)+len(hs)+len(lcs)+len(lgs)+len(lhs))
-	for _, c := range cs {
-		out = append(out, MetricDesc{Name: c.name, Type: "counter", Help: c.help})
-	}
-	for _, g := range gs {
-		out = append(out, MetricDesc{Name: g.name, Type: "gauge", Help: g.help})
-	}
-	for _, h := range hs {
-		out = append(out, MetricDesc{Name: h.name, Type: "histogram", Help: h.help})
-	}
-	for _, c := range lcs {
-		out = append(out, MetricDesc{Name: c.vec.name, Type: "counter", Labels: c.vec.keys, Help: c.vec.help})
-	}
-	for _, g := range lgs {
-		out = append(out, MetricDesc{Name: g.vec.name, Type: "gauge", Labels: g.vec.keys, Help: g.vec.help})
-	}
-	for _, h := range lhs {
-		out = append(out, MetricDesc{Name: h.vec.name, Type: "histogram", Labels: h.vec.keys, Help: h.vec.help})
+	fs := r.families()
+	out := make([]MetricDesc, 0, len(fs))
+	for _, f := range fs {
+		out = append(out, MetricDesc{Name: f.name, Type: f.kind, Labels: f.keys, Help: f.help})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -342,32 +328,13 @@ func (r *Registry) Describe() []MetricDesc {
 // Describe lists every metric family in the default registry.
 func Describe() []MetricDesc { return Default.Describe() }
 
-// Reset zeroes every metric in the registry (for tests and smoke runs).
+// Reset zeroes every metric in the registry (for tests and smoke runs):
+// plain series go to zero, labeled families drop their series.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sumBits.Store(0)
-	}
-	for _, c := range r.labeledCounters {
-		c.vec.reset()
-		c.total.Store(0)
-	}
-	for _, g := range r.labeledGauges {
-		g.vec.reset()
-	}
-	for _, h := range r.labeledHistograms {
-		h.vec.reset()
+	for _, f := range r.fams {
+		f.reset()
 	}
 }
 

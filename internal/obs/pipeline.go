@@ -57,8 +57,8 @@ var (
 	// (status: ok | unmatched | timeout | canceled). PhaseNS is the
 	// cost-attribution counter behind BENCH_tableone's *_ns columns: total
 	// nanoseconds spent per pipeline phase per assignment.
-	GradesTotal            = NewLabeledCounter("semfeed_grades_total", "Submissions graded, by assignment and outcome status.", "assignment", "status")
-	PhaseNS                = NewLabeledCounter("semfeed_phase_ns", "Nanoseconds spent per grading phase, by assignment.", "assignment", "phase")
+	GradesTotal            = NewCounter("semfeed_grades_total", "Submissions graded, by assignment and outcome status.", "assignment", "status")
+	PhaseNS                = NewCounter("semfeed_phase_ns", "Nanoseconds spent per grading phase, by assignment.", "assignment", "phase")
 	GradeMatchedTotal      = NewCounter("semfeed_grade_matched_total", "Reports where a method binding was found.")
 	GradeUnmatchedTotal    = NewCounter("semfeed_grade_unmatched_total", "Reports with no usable method binding.")
 	GradeMethodCombos      = NewCounter("semfeed_grade_method_combos_total", "Expected-to-actual method bindings scored.")
@@ -84,7 +84,7 @@ var (
 	ServerTimeoutsTotal   = NewCounter("semfeed_server_timeouts_total", "Grading requests cut by the per-request deadline.")
 	ServerInflight        = NewGauge("semfeed_server_inflight", "Grading requests currently holding a worker slot.")
 	ServerQueued          = NewGauge("semfeed_server_queued", "Requests currently waiting in the admission queue.")
-	ServerRequestSeconds  = NewLabeledHistogram("semfeed_server_request_seconds", "End-to-end latency per grading request, by assignment and status class.", nil, "assignment", "status")
+	ServerRequestSeconds  = NewHistogram("semfeed_server_request_seconds", "End-to-end latency per grading request, by assignment and status class.", nil, "assignment", "status")
 	ServerCacheHitsTotal  = NewCounter("semfeed_server_cache_hits_total", "Grading requests served from the result cache.")
 	ServerCacheMissTotal  = NewCounter("semfeed_server_cache_misses_total", "Grading requests that ran the full pipeline.")
 	ServerCacheEvictTotal = NewCounter("semfeed_server_cache_evictions_total", "Result-cache entries evicted by the LRU policy.")
@@ -105,14 +105,14 @@ var (
 	ClusterReroutesTotal        = NewCounter("semfeed_cluster_reroutes_total", "Proxied requests retried on the next replica after a worker failed.")
 	ClusterProbeFailuresTotal   = NewCounter("semfeed_cluster_probe_failures_total", "Worker health probes that failed.")
 	ClusterMembershipSwapsTotal = NewCounter("semfeed_cluster_membership_swaps_total", "Routing-ring snapshot rebuilds from membership changes.")
-	ClusterProxySeconds         = NewLabeledHistogram("semfeed_cluster_proxy_seconds", "Coordinator proxy latency per worker attempt, by worker and status class.", nil, "worker", "status")
+	ClusterProxySeconds         = NewHistogram("semfeed_cluster_proxy_seconds", "Coordinator proxy latency per worker attempt, by worker and status class.", nil, "worker", "status")
 	ClusterShardsTotal          = NewCounter("semfeed_cluster_shards_total", "Per-worker sub-batches fanned out by the coordinator.")
 	ClusterPeerFillHitsTotal    = NewCounter("semfeed_cluster_peer_fill_hits_total", "Store reads served by the owning peer over HTTP.")
 	ClusterPeerFillMissesTotal  = NewCounter("semfeed_cluster_peer_fill_misses_total", "Peer-fill lookups that missed (owner had no entry, owner unreachable, or key owned locally).")
 
 	// Fleet observability plane (PR 10): membership flight recorder and
 	// metrics federation.
-	ClusterMembershipEventsTotal = NewLabeledCounter("semfeed_cluster_membership_events_total", "Membership flight-recorder events, by kind (worker_up | worker_down | probe_fail | ring_rebuild).", "kind")
+	ClusterMembershipEventsTotal = NewCounter("semfeed_cluster_membership_events_total", "Membership flight-recorder events, by kind (worker_up | worker_down | probe_fail | ring_rebuild).", "kind")
 	ClusterScrapeErrorsTotal     = NewCounter("semfeed_cluster_scrape_errors_total", "Worker statusz/metrics scrapes that failed (the worker's last-good data is served marked stale).")
 )
 

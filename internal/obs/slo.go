@@ -154,7 +154,7 @@ func (w *SLOWindow) Reset() {
 }
 
 // bucketQuantile estimates the q-quantile from cumulative-free bucket counts
-// with the same interpolation rule as Histogram.Quantile.
+// (Histogram.Quantile, Snapshot and the SLO windows all go through it).
 func bucketQuantile(bounds []float64, buckets []int64, q float64) float64 {
 	var total int64
 	for _, n := range buckets {

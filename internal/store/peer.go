@@ -12,10 +12,14 @@ import (
 // JSON is small, so anything larger is a misbehaving peer, not a result.
 const maxPeerBody = 8 << 20
 
-// Peer is the HTTP backend: Get against another node's /v1/store endpoint.
-// The key is content-addressed, so whichever node computed a result, every
-// node derives the same URL for it — a cache hit needs no routing table,
-// only the peer's address.
+// Peer is the HTTP fill backend: Get against another node's /v1/store
+// endpoint. The key is content-addressed, so whichever node computed a
+// result, every node derives the same URL for it — a cache hit needs no
+// routing table, only the peer's address. Peer is a Getter, not a Store: the
+// store protocol is read-only. Each node writes only results it graded
+// itself, replication is the reader's pull, and the /v1/store endpoint
+// rejects writes — accepting remote writes would let anyone plant a
+// fabricated report under a submission's derivable key.
 type Peer struct {
 	base   string // http://host:port, no trailing slash
 	client *http.Client
@@ -59,22 +63,14 @@ func (p *Peer) Get(k Key) ([]byte, bool) {
 	return body, true
 }
 
-// Put is a no-op: the store protocol is read-only. Each node writes only
-// results it graded itself, replication is the reader's pull, and the
-// /v1/store endpoint rejects writes — accepting remote writes would let
-// anyone plant a fabricated report under a submission's derivable key.
-func (p *Peer) Put(Key, []byte) {}
-
-// Len is unknown for a remote store.
-func (p *Peer) Len() int { return 0 }
-
-// Tiered composes a local tier with a fill path: reads hit Local first and
-// fall through to Fallback, backfilling Local on a remote hit so the next
-// read is local; writes land in Local only (the owner of a key writes its
-// own copy — replication is the reader's pull, not the writer's push).
+// Tiered composes a local tier with a read-only fill path: reads hit Local
+// first and fall through to Fallback, backfilling Local on a remote hit so
+// the next read is local; writes land in Local only (the owner of a key
+// writes its own copy — replication is the reader's pull, not the writer's
+// push).
 type Tiered struct {
 	Local    Store
-	Fallback Store
+	Fallback Getter
 }
 
 // Get reads local-first with remote fill.

@@ -94,6 +94,12 @@ type Store interface {
 	Len() int
 }
 
+// Getter is the read-only side of Store: the contract of a fill tier, which
+// only ever answers reads (see Tiered).
+type Getter interface {
+	Get(k Key) ([]byte, bool)
+}
+
 // LocalGetter is implemented by composite stores that can answer from their
 // local tier only. The /v1/store endpoint uses it so one worker asking
 // another for a key can never trigger a recursive remote fill.

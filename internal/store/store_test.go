@@ -93,7 +93,7 @@ func TestTieredBackfill(t *testing.T) {
 
 // TestPeerStoreHTTP runs a Peer against a stub /v1/store endpoint. The
 // protocol is read-only: the stub serves GET only, mirroring the real
-// endpoint, and Peer.Put must never reach the wire.
+// endpoint, and Peer (a Getter, with no Put) must never write to the wire.
 func TestPeerStoreHTTP(t *testing.T) {
 	backing := NewMemory(8)
 	var puts int
@@ -125,13 +125,12 @@ func TestPeerStoreHTTP(t *testing.T) {
 	if _, ok := p.Get(key); ok {
 		t.Fatal("Get before the owner stored anything should miss")
 	}
-	p.Put(key, []byte(`{"evil":1}`)) // must be a local no-op, not a remote write
 	backing.Put(key, []byte(`{"report":1}`))
 	if body, ok := p.Get(key); !ok || string(body) != `{"report":1}` {
 		t.Fatalf("Get after owner stored = %q, %v", body, ok)
 	}
 	if puts != 0 {
-		t.Fatalf("Peer.Put issued %d remote writes, want 0 (read-only protocol)", puts)
+		t.Fatalf("Peer issued %d remote writes, want 0 (read-only protocol)", puts)
 	}
 
 	// A dead peer is a miss, not an error.
