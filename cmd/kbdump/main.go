@@ -1,7 +1,10 @@
-// Command kbdump exports the knowledge base — the paper's publicly-available
-// artifact of 24 unique patterns — as JSON on stdout. The output round-trips
-// through pattern.ReadAll, so instructors can edit patterns as data and load
-// them back.
+// Command kbdump prints the knowledge base — the paper's publicly-available
+// artifact of 24 unique patterns — as JSON on stdout: the bytes of the
+// catalog file embedded in internal/kb (builtin/catalog.json), which
+// pattern.ReadAll loads. With -assignment it prints one builtin assignment's
+// embedded definition file (builtin/assignments/<id>.json), the format
+// semfeedd hot-loads from its KB directory, so it serves as a seed or
+// fixture for that directory.
 //
 // Usage:
 //
@@ -16,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"semfeed/internal/assignments"
 	"semfeed/internal/kb"
 )
 
@@ -26,20 +28,13 @@ func main() {
 	assignment := flag.String("assignment", "", "export one built-in assignment as a semfeedd definition file")
 	flag.Parse()
 
-	// A built-in assignment exported this way round-trips through
-	// kb.ReadAssignmentDef, so it serves as a seed or fixture for the grading
-	// service's hot-reload directory.
 	if *assignment != "" {
-		a := assignments.Get(*assignment)
-		if a == nil {
+		data, ok := kb.AssignmentJSON(*assignment)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "kbdump: unknown assignment %q\n", *assignment)
 			os.Exit(2)
 		}
-		def := kb.ExportAssignmentDef(a.ID, a.Description, a.Spec)
-		if err := kb.WriteAssignmentDef(os.Stdout, def); err != nil {
-			fmt.Fprintf(os.Stderr, "kbdump: %v\n", err)
-			os.Exit(1)
-		}
+		write(data)
 		return
 	}
 
@@ -72,7 +67,11 @@ func main() {
 		}
 		return
 	}
-	if err := kb.ExportJSON(os.Stdout); err != nil {
+	write(kb.CatalogJSON())
+}
+
+func write(data []byte) {
+	if _, err := os.Stdout.Write(data); err != nil {
 		fmt.Fprintf(os.Stderr, "kbdump: %v\n", err)
 		os.Exit(1)
 	}

@@ -100,6 +100,12 @@ func TestLintDefSelfConstraint(t *testing.T) {
 func TestLintDefCleanStaysClean(t *testing.T) {
 	// A definition that uses its inline pattern and relates two distinct
 	// patterns lints clean: both rules are quiet and the exit code is 0.
+	// The builtin assignment definitions ride along, so a builtin that breaks
+	// a rule uploaded definitions are held to fails here.
+	builtins, err := filepath.Glob("../../internal/kb/builtin/assignments/*.json")
+	if err != nil || len(builtins) != 12 {
+		t.Fatalf("want the 12 builtin definitions, got %d (%v)", len(builtins), err)
+	}
 	def := &kb.AssignmentDef{
 		ID:       "clean",
 		Patterns: []pattern.Pattern{demoPattern("local")},
@@ -116,11 +122,14 @@ func TestLintDefCleanStaysClean(t *testing.T) {
 	path := writeDef(t, def)
 
 	var out bytes.Buffer
-	if code := lintDefs(&out, []string{path}); code != 0 {
+	if code := lintDefs(&out, append([]string{path}, builtins...)); code != 0 {
 		t.Fatalf("clean definition flagged: exit %d\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), `assignment "clean" ok`) {
 		t.Errorf("ok line missing:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), " ok ("); n != 1+len(builtins) {
+		t.Errorf("%d ok lines, want %d:\n%s", n, 1+len(builtins), out.String())
 	}
 }
 

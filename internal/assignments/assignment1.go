@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -78,63 +76,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "assignment1",
-		Methods: []core.MethodSpec{{
-			Name: "assignment1",
-			Patterns: []core.PatternUse{
-				use("seq-odd-access", 1),
-				use("seq-even-access", 1),
-				use("cond-accumulate-add", 1),
-				use("cond-accumulate-mul", 1),
-				use("assign-print", 2),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "odd-access-is-summed", Kind: constraint.Equality,
-					Pi: "seq-odd-access", Ui: "u5", Pj: "cond-accumulate-add", Uj: "u3",
-					Feedback: constraint.Feedback{
-						Satisfied: "The odd positions you access are the ones being summed",
-						Violated:  "The values read at odd positions are not the ones being summed",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "even-access-is-multiplied", Kind: constraint.Equality,
-					Pi: "seq-even-access", Ui: "u5", Pj: "cond-accumulate-mul", Uj: "u3",
-					Feedback: constraint.Feedback{
-						Satisfied: "The even positions you access are the ones being multiplied",
-						Violated:  "The values read at even positions are not the ones being multiplied",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "sum-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "cond-accumulate-add", Ui: "u3", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The accumulated sum reaches a print statement",
-						Violated:  "The accumulated sum is never printed",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "product-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "cond-accumulate-mul", Ui: "u3", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The accumulated product reaches a print statement",
-						Violated:  "The accumulated product is never printed",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "assignment1",
-		Course:      "MIT 6.00x (adapted)",
-		Description: "Add odd positions and multiply even positions of an input array; print both.",
-		Entry:       "assignment1",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 640000, L: 12.23, T: 0.18, P: 6, C: 4, M: 0.03, D: 24},
+		ID:     "assignment1",
+		Course: "MIT 6.00x (adapted)",
+		Entry:  "assignment1",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 640000, L: 12.23, T: 0.18, P: 6, C: 4, M: 0.03, D: 24},
 	})
 }

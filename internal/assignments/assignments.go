@@ -1,14 +1,14 @@
 // Package assignments defines the twelve real-world assignments of Table I:
 // for each one, a reference solution, the synthetic submission space (choice
-// points encoding the error model), the functional-test suite used as ground
-// truth, and the pattern/constraint selection from the knowledge base.
+// points encoding the error model) and the functional-test suite used as
+// ground truth. The pattern/constraint selection and the description come
+// from the assignment's definition file in the knowledge base (kb.Builtin).
 package assignments
 
 import (
 	"fmt"
 	"sort"
 
-	"semfeed/internal/constraint"
 	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/kb"
@@ -28,6 +28,7 @@ type PaperRow struct {
 }
 
 // Assignment bundles everything needed to reproduce one Table I row.
+// Description and Spec are compiled from the KB definition file by register.
 type Assignment struct {
 	ID          string
 	Course      string
@@ -55,6 +56,8 @@ func register(a *Assignment) {
 	if err := a.Tests.FillExpected(a.Reference()); err != nil {
 		panic(fmt.Sprintf("%s: %v", a.ID, err))
 	}
+	def, spec := kb.Builtin(a.ID)
+	a.Description, a.Spec = def.Description, spec
 	registry[a.ID] = a
 	order = append(order, a.ID)
 }
@@ -107,14 +110,4 @@ func tableOrder(id string) int {
 		}
 	}
 	return len(tableIOrder)
-}
-
-// use builds a core.PatternUse from the knowledge base.
-func use(name string, count int) core.PatternUse {
-	return core.PatternUse{Pattern: kb.Pattern(name), Count: count}
-}
-
-// con compiles a constraint against the knowledge base registry.
-func con(c *constraint.Constraint) *constraint.Compiled {
-	return constraint.MustCompile(c, kb.Registry())
 }

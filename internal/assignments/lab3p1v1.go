@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -61,71 +59,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P1-V1",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p1v1",
-			Patterns: []core.PatternUse{
-				use("counter-increment", 1),
-				use("running-product", 1),
-				use("bounded-loop", 1),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "counter-starts-at-1", Kind: constraint.Containment,
-					Pi: "counter-increment", Ui: "u0", Expr: "ni = 1",
-					Feedback: constraint.Feedback{
-						Satisfied: "{ni} starts at 1, matching 1! = 1",
-						Violated:  "{ni} should start at 1 (recall 1! = 1)",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "increment-feeds-product", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "running-product", Uj: "u2", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You increment the counter before multiplying it into the product",
-						Violated:  "Multiply the product by the counter only after incrementing it, or you use the stale value",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "advance-condition-shape", Kind: constraint.Containment,
-					Pi: "bounded-loop", Ui: "u1", Expr: "rp * (ni + 1) <= wk",
-					Supporting: []string{"running-product", "counter-increment"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The loop advances exactly while ({ni}+1)! would still fit below {wk}",
-						Violated:  "The advance condition should be {rp} * ({ni} + 1) <= {wk}, i.e. continue while the next factorial still fits",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "counter-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You print the counter, which is the requested answer",
-						Violated:  "Print the counter {ni} — the assignment asks for n, not the factorial",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "product-under-bounded-loop", Kind: constraint.Equality,
-					Pi: "bounded-loop", Ui: "u1", Pj: "running-product", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The product accumulates inside the bounded search loop",
-						Violated:  "The product must accumulate inside the loop bounded by the input",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P1-V1",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Print n such that n! <= k < (n+1)! for the input k.",
-		Entry:       "lab3p1v1",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 442368, L: 15.17, T: 0.20, P: 7, C: 5, M: 0.04, D: 8},
+		ID:     "esc-LAB-3-P1-V1",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p1v1",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 442368, L: 15.17, T: 0.20, P: 7, C: 5, M: 0.04, D: 8},
 	})
 }

@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -74,79 +72,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P2-V1",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p2v1",
-			Patterns: []core.PatternUse{
-				use("counter-increment", 1),
-				use("fib-advance", 1),
-				use("bounded-loop", 1),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "counter-starts-at-2", Kind: constraint.Containment,
-					Pi: "counter-increment", Ui: "u0", Expr: "ni = 2",
-					Feedback: constraint.Feedback{
-						Satisfied: "{ni} starts at 2: the seeds already cover fib(1) and fib(2)",
-						Violated:  "{ni} should start at 2 — the two seeds already cover fib(1) and fib(2)",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "advance-condition-shape", Kind: constraint.Containment,
-					Pi: "bounded-loop", Ui: "u1", Expr: "re:^${fb} <= ${wk}$",
-					Supporting: []string{"fib-advance"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The loop advances exactly while the next Fibonacci number {fb} still fits below {wk}",
-						Violated:  "The advance condition should be exactly {fb} <= {wk}; extra or rewritten bounds are redundant",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "sum-shape", Kind: constraint.Containment,
-					Pi: "fib-advance", Ui: "u0", Expr: "fc = fa + fb",
-					Feedback: constraint.Feedback{
-						Satisfied: "The next number is computed as {fa} + {fb}",
-						Violated:  "Write the next number as {fa} + {fb} (older term first) so the rotation below reads naturally",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "counter-under-loop", Kind: constraint.Equality,
-					Pi: "counter-increment", Ui: "u1", Pj: "bounded-loop", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The counter advances inside the bounded loop",
-						Violated:  "The counter must advance inside the loop bounded by the input",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "rotation-under-loop", Kind: constraint.Equality,
-					Pi: "fib-advance", Ui: "u3", Pj: "bounded-loop", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The pair rotates inside the bounded loop",
-						Violated:  "The Fibonacci pair must rotate inside the loop bounded by the input",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "counter-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You print the counter, which is the requested answer",
-						Violated:  "Print the counter {ni} — the assignment asks for n, not the Fibonacci number",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P2-V1",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Print n such that fib(n) <= k < fib(n+1) for the input k.",
-		Entry:       "lab3p2v1",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 7077888, L: 16.75, T: 0.20, P: 8, C: 13, M: 0.03, D: 592},
+		ID:     "esc-LAB-3-P2-V1",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p2v1",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 7077888, L: 16.75, T: 0.20, P: 8, C: 13, M: 0.03, D: 592},
 	})
 }

@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -58,70 +56,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P2-V2",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p2v2",
-			Patterns: []core.PatternUse{
-				use("digit-extraction", 1),
-				use("sum-of-cubes", 1),
-				use("equality-check", 1),
-				use("conditional-print", 2),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "cubes-under-digit-loop", Kind: constraint.Equality,
-					Pi: "sum-of-cubes", Ui: "u2", Pj: "digit-extraction", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The cube sum accumulates inside the digit loop",
-						Violated:  "Accumulate the cubes inside the digit-extraction loop",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "digit-feeds-cubes", Kind: constraint.EdgeExistence,
-					Pi: "digit-extraction", Ui: "u2", Pj: "sum-of-cubes", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "Each extracted digit flows into the cube sum",
-						Violated:  "The extracted digit never reaches the cube sum",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "comparison-uses-cube-sum", Kind: constraint.Containment,
-					Pi: "equality-check", Ui: "u0", Expr: `re:\b${c3}\b`,
-					Supporting: []string{"sum-of-cubes"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The final comparison reads the cube sum {c3}",
-						Violated:  "Compare the cube sum {c3} against the input in the final check",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "verdict-from-equality", Kind: constraint.Equality,
-					Pi: "conditional-print", Ui: "u0", Pj: "equality-check", Uj: "u0",
-					Feedback: constraint.Feedback{
-						Satisfied: "The verdict is printed from the equality decision",
-						Violated:  "Print the verdict from the equality comparison itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "cube-sum-reaches-comparison", Kind: constraint.EdgeExistence,
-					Pi: "sum-of-cubes", Ui: "u1", Pj: "equality-check", Uj: "u0", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The accumulated cube sum reaches the final comparison",
-						Violated:  "The accumulated cube sum never reaches the final comparison",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P2-V2",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Decide whether the sum of cubes of the digits equals the number itself.",
-		Entry:       "lab3p2v2",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 144, L: 7.67, T: 0.17, P: 4, C: 5, M: 0.01, D: 0},
+		ID:     "esc-LAB-3-P2-V2",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p2v2",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 144, L: 7.67, T: 0.17, P: 4, C: 5, M: 0.01, D: 0},
 	})
 }

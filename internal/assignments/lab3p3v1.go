@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -63,79 +61,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P3-V1",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p3v1",
-			Patterns: []core.PatternUse{
-				use("digit-extraction", 1),
-				use("reverse-accumulate", 1),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-				use("conditional-print", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "reverse-under-digit-loop", Kind: constraint.Equality,
-					Pi: "reverse-accumulate", Ui: "u2", Pj: "digit-extraction", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The reverse accumulates inside the digit loop",
-						Violated:  "Build the reverse inside the digit-extraction loop",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "reverse-step-shape", Kind: constraint.Containment,
-					Pi: "reverse-accumulate", Ui: "u1", Expr: `re:^${rv} = (${rv} \* 10|10 \* ${rv}) \+ ${rt} % 10$`,
-					Feedback: constraint.Feedback{
-						Satisfied: "The reverse step is {rv} = {rv} * 10 + {rt} % 10",
-						Violated:  "Write the reverse step exactly as {rv} = {rv} * 10 + {rt} % 10",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "reverse-reaches-print", Kind: constraint.EdgeExistence,
-					Pi: "reverse-accumulate", Ui: "u1", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The computed reverse reaches the printed difference",
-						Violated:  "The computed reverse never reaches the printed result",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "copy-of-input", Kind: constraint.Containment,
-					Pi: "digit-extraction", Ui: "u0", Expr: "dg = k",
-					Feedback: constraint.Feedback{
-						Satisfied: "You destructively iterate a copy of the input",
-						Violated:  "Work on a copy of the input (t = k) so k stays available for the difference",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "reverse-reads-digits", Kind: constraint.Equality,
-					Pi: "digit-extraction", Ui: "u2", Pj: "reverse-accumulate", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The reverse step consumes the extracted digit directly",
-						Violated:  "The reverse step should consume the digit extracted with % 10",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "difference-shape", Kind: constraint.Containment,
-					Pi: "assign-print", Ui: "u1", Expr: "k - rv",
-					Supporting: []string{"reverse-accumulate"},
-					Feedback: constraint.Feedback{
-						Satisfied: "You print k - {rv}, the number minus its reverse",
-						Violated:  "Print k - {rv}: the number minus its reverse, in that order",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P3-V1",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Print the difference between a positive number and its decimal reverse.",
-		Entry:       "lab3p3v1",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 10368, L: 10.5, T: 0.10, P: 7, C: 6, M: 0.01, D: 1},
+		ID:     "esc-LAB-3-P3-V1",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p3v1",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 10368, L: 10.5, T: 0.10, P: 7, C: 6, M: 0.01, D: 1},
 	})
 }

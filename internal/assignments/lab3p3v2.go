@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -64,114 +62,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P3-V2",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p3v2",
-			Patterns: []core.PatternUse{
-				use("guarded-counter", 1),
-				use("counter-increment", 2),
-				use("running-product", 1),
-				use("bounded-loop", 1),
-				use("interval-filter", 1),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "index-starts-at-1", Kind: constraint.Containment,
-					Pi: "counter-increment", Ui: "u0", Expr: "ni = 1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The factorial index starts at 1, so 1 is counted once",
-						Violated:  "Start the factorial index at 1 — starting at 0 counts 1 twice (as 0! and 1!)",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "increment-feeds-product", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "running-product", Uj: "u2", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The index is incremented before it multiplies into the factorial",
-						Violated:  "Increment the index before multiplying, or the factorial repeats a value",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filter-shape", Kind: constraint.Containment,
-					Pi: "interval-filter", Ui: "u1", Expr: "re:^${rp} >= ${qn}$",
-					Supporting: []string{"running-product"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The filter is exactly {rp} >= {qn}",
-						Violated:  "The filter should be exactly {rp} >= {qn}; the loop bound already enforces the upper limit",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filter-guards-count", Kind: constraint.Equality,
-					Pi: "interval-filter", Ui: "u1", Pj: "guarded-counter", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The lower-bound filter is what admits values into the count",
-						Violated:  "Count values under the lower-bound filter itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "product-under-loop", Kind: constraint.Equality,
-					Pi: "running-product", Ui: "u1", Pj: "bounded-loop", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The factorial advances inside the bounded loop",
-						Violated:  "Advance the factorial inside the loop bounded by m",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "loop-bound-shape", Kind: constraint.Containment,
-					Pi: "bounded-loop", Ui: "u1", Expr: "re:^${rp} <= ${wk}$",
-					Supporting: []string{"running-product"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The loop runs exactly while the factorial stays within m",
-						Violated:  "Loop exactly while {rp} <= {wk}: the factorial equal to m is still in range",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "product-seed-one", Kind: constraint.Containment,
-					Pi: "running-product", Ui: "u0", Expr: "rp = 1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The factorial starts at 1 (= 1!)",
-						Violated:  "Seed the factorial with 1: starting at 0 keeps it at 0 forever",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "count-seed-zero", Kind: constraint.Containment,
-					Pi: "guarded-counter", Ui: "u0", Expr: "gc = 0",
-					Feedback: constraint.Feedback{
-						Satisfied: "The count starts at 0",
-						Violated:  "Start the count at 0",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filter-reads-product", Kind: constraint.EdgeExistence,
-					Pi: "running-product", Ui: "u0", Pj: "interval-filter", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The filtered value is the running factorial",
-						Violated:  "Filter the running factorial itself against the lower bound",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "count-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You print the count, which is the requested answer",
-						Violated:  "Print the count — the assignment asks how many factorials fall in the interval",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P3-V2",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Print how many factorial numbers lie in [n, m].",
-		Entry:       "lab3p3v2",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 589824, L: 15.42, T: 0.19, P: 8, C: 10, M: 0.03, D: 4},
+		ID:     "esc-LAB-3-P3-V2",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p3v2",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 589824, L: 15.42, T: 0.19, P: 8, C: 10, M: 0.03, D: 4},
 	})
 }

@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -60,79 +58,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P4-V1",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p4v1",
-			Patterns: []core.PatternUse{
-				use("digit-extraction", 1),
-				use("reverse-accumulate", 1),
-				use("equality-check", 1),
-				use("conditional-print", 2),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "reverse-under-digit-loop", Kind: constraint.Equality,
-					Pi: "reverse-accumulate", Ui: "u2", Pj: "digit-extraction", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The reverse accumulates inside the digit loop",
-						Violated:  "Build the reverse inside the digit-extraction loop",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "reverse-step-shape", Kind: constraint.Containment,
-					Pi: "reverse-accumulate", Ui: "u1", Expr: `re:^${rv} = (${rv} \* 10|10 \* ${rv}) \+ ${rt} % 10$`,
-					Feedback: constraint.Feedback{
-						Satisfied: "The reverse step is {rv} = {rv} * 10 + {rt} % 10",
-						Violated:  "Write the reverse step exactly as {rv} = {rv} * 10 + {rt} % 10",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "comparison-uses-reverse", Kind: constraint.Containment,
-					Pi: "equality-check", Ui: "u0", Expr: `re:\b${rv}\b`,
-					Supporting: []string{"reverse-accumulate"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The palindrome check compares against the reverse {rv}",
-						Violated:  "Compare the input against the computed reverse {rv}",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "verdict-from-equality", Kind: constraint.Equality,
-					Pi: "conditional-print", Ui: "u0", Pj: "equality-check", Uj: "u0",
-					Feedback: constraint.Feedback{
-						Satisfied: "The verdict is printed from the equality decision",
-						Violated:  "Print the verdict from the equality comparison itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "reverse-reaches-comparison", Kind: constraint.EdgeExistence,
-					Pi: "reverse-accumulate", Ui: "u1", Pj: "equality-check", Uj: "u0", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The accumulated reverse reaches the final comparison",
-						Violated:  "The accumulated reverse never reaches the final comparison",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "copy-of-input", Kind: constraint.Containment,
-					Pi: "digit-extraction", Ui: "u0", Expr: "dg = k",
-					Feedback: constraint.Feedback{
-						Satisfied: "You destructively iterate a copy of the input",
-						Violated:  "Work on a copy of the input (t = k) so k stays available for the comparison",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P4-V1",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Check whether the input number is a decimal palindrome.",
-		Entry:       "lab3p4v1",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 13824, L: 10.5, T: 0.17, P: 7, C: 6, M: 0.01, D: 1},
+		ID:     "esc-LAB-3-P4-V1",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p4v1",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 13824, L: 10.5, T: 0.17, P: 7, C: 6, M: 0.01, D: 1},
 	})
 }

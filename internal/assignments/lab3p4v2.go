@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -73,114 +71,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "esc-LAB-3-P4-V2",
-		Methods: []core.MethodSpec{{
-			Name: "lab3p4v2",
-			Patterns: []core.PatternUse{
-				use("guarded-counter", 1),
-				use("counter-increment", 1),
-				use("fib-advance", 1),
-				use("bounded-loop", 1),
-				use("interval-filter", 1),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "count-seed-zero", Kind: constraint.Containment,
-					Pi: "guarded-counter", Ui: "u0", Expr: "gc = 0",
-					Feedback: constraint.Feedback{
-						Satisfied: "The count starts at 0",
-						Violated:  "Start the count at 0",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "sum-shape", Kind: constraint.Containment,
-					Pi: "fib-advance", Ui: "u0", Expr: "fc = fa + fb",
-					Feedback: constraint.Feedback{
-						Satisfied: "The next number is computed as {fa} + {fb}",
-						Violated:  "Write the next number as {fa} + {fb} (older term first)",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "loop-bound-shape", Kind: constraint.Containment,
-					Pi: "bounded-loop", Ui: "u1", Expr: "re:^${fa} <= ${wk}$",
-					Supporting: []string{"fib-advance"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The loop runs exactly while the current Fibonacci number stays within m",
-						Violated:  "Loop exactly while {fa} <= {wk} — bounding on the next number drops the last value in range",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filter-shape", Kind: constraint.Containment,
-					Pi: "interval-filter", Ui: "u1", Expr: "re:^${fa} >= ${qn}$",
-					Supporting: []string{"fib-advance"},
-					Feedback: constraint.Feedback{
-						Satisfied: "The filter is exactly {fa} >= {qn}",
-						Violated:  "The filter should be exactly {fa} >= {qn}; the loop bound already enforces the upper limit",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filter-guards-count", Kind: constraint.Equality,
-					Pi: "interval-filter", Ui: "u1", Pj: "guarded-counter", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The lower-bound filter is what admits values into the count",
-						Violated:  "Count values under the lower-bound filter itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "rotation-under-loop", Kind: constraint.Equality,
-					Pi: "fib-advance", Ui: "u3", Pj: "bounded-loop", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The pair rotates inside the bounded loop",
-						Violated:  "Rotate the Fibonacci pair inside the loop bounded by m",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "count-under-filter", Kind: constraint.Equality,
-					Pi: "counter-increment", Ui: "u1", Pj: "interval-filter", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The count grows only under the interval filter",
-						Violated:  "Increment the count only when the filter holds",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "count-is-printed", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u2", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You print the count, which is the requested answer",
-						Violated:  "Print the count — the assignment asks how many Fibonacci numbers fall in the interval",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "current-value-filtered", Kind: constraint.EdgeExistence,
-					Pi: "fib-advance", Ui: "u5", Pj: "interval-filter", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "You test the current number before rotating past it",
-						Violated:  "Test the current number before rotating — rotating first skips the first value",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "seed-reaches-bound", Kind: constraint.EdgeExistence,
-					Pi: "fib-advance", Ui: "u5", Pj: "bounded-loop", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The seeded pair drives the loop bound",
-						Violated:  "The loop bound should test the seeded running value",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "esc-LAB-3-P4-V2",
-		Course:      "IIT Kanpur ESC101",
-		Description: "Print how many Fibonacci numbers lie in [n, m].",
-		Entry:       "lab3p4v2",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 9437184, L: 17.42, T: 0.26, P: 9, C: 14, M: 0.03, D: 248},
+		ID:     "esc-LAB-3-P4-V2",
+		Course: "IIT Kanpur ESC101",
+		Entry:  "lab3p4v2",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 9437184, L: 17.42, T: 0.26, P: 9, C: 14, M: 0.03, D: 248},
 	})
 }

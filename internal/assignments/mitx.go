@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -55,71 +53,13 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "mitx-derivatives",
-		Methods: []core.MethodSpec{{
-			Name: "derivative",
-			Patterns: []core.PatternUse{
-				use("new-result-array", 1),
-				use("derivative-step", 1),
-				// Three data flows reach the print: the allocation of r, the
-				// power-rule store into r, and the print loop's own index.
-				use("assign-print", 3),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "result-array-is-written", Kind: constraint.EdgeExistence,
-					Pi: "new-result-array", Ui: "u1", Pj: "derivative-step", Uj: "u0", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The power-rule step writes into the allocated result array",
-						Violated:  "The allocated result array is never written by the power-rule step",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "store-shifts-down", Kind: constraint.Containment,
-					Pi: "derivative-step", Ui: "u0", Expr: `re:^${dr}\[${dx} - 1\]`,
-					Feedback: constraint.Feedback{
-						Satisfied: "Coefficient i lands at position i - 1",
-						Violated:  "Store coefficient i at position i - 1: the derivative loses the constant term",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "derivative-reaches-print", Kind: constraint.EdgeExistence,
-					Pi: "derivative-step", Ui: "u0", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The computed derivative reaches the print loop",
-						Violated:  "The computed derivative is never printed",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "result-size-shape", Kind: constraint.Containment,
-					Pi: "new-result-array", Ui: "u1", Expr: "na.length - 1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The result has one coefficient fewer than the input",
-						Violated:  "Size the result as {na}.length - 1: differentiating drops the constant term",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "power-loop-bound", Kind: constraint.Containment,
-					Pi: "derivative-step", Ui: "u1", Expr: `re:^${dx} <[^=]`,
-					Feedback: constraint.Feedback{
-						Satisfied: "The power loop stops strictly below the array length",
-						Violated:  "The power loop must stop strictly below the array length (use <, not <=)",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "mitx-derivatives",
-		Course:      "MIT 6.00x",
-		Description: "Print the coefficients of the derivative of the input polynomial.",
-		Entry:       "derivative",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 576, L: 5.75, T: 0.12, P: 3, C: 4, M: 0.03, D: 0},
+		ID:     "mitx-derivatives",
+		Course: "MIT 6.00x",
+		Entry:  "derivative",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 576, L: 5.75, T: 0.12, P: 3, C: 4, M: 0.03, D: 0},
 	})
 }
 
@@ -160,69 +100,12 @@ func init() {
 		},
 	}
 
-	grading := &core.AssignmentSpec{
-		Name: "mitx-polynomials",
-		Methods: []core.MethodSpec{{
-			Name: "evaluate",
-			Patterns: []core.PatternUse{
-				use("powsum-step", 1),
-				use("counter-increment", 1),
-				use("assign-print", 1),
-				use("conditional-print", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				con(&constraint.Constraint{
-					Name: "terms-under-loop", Kind: constraint.Equality,
-					Pi: "powsum-step", Ui: "u2", Pj: "counter-increment", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The terms accumulate inside the coefficient loop",
-						Violated:  "Accumulate the terms inside the loop over coefficients",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "loop-drives-terms", Kind: constraint.EdgeExistence,
-					Pi: "counter-increment", Ui: "u0", Pj: "powsum-step", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The loop index selects both the coefficient and the exponent",
-						Violated:  "The loop index must select the coefficient a[i] and the exponent i",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "sum-reaches-print", Kind: constraint.EdgeExistence,
-					Pi: "powsum-step", Ui: "u1", Pj: "assign-print", Uj: "u1", EdgeType: "Data",
-					Feedback: constraint.Feedback{
-						Satisfied: "The accumulated value reaches the print statement",
-						Violated:  "The accumulated value is never printed",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "exponents-start-at-0", Kind: constraint.Containment,
-					Pi: "counter-increment", Ui: "u0", Expr: "ni = 0",
-					Feedback: constraint.Feedback{
-						Satisfied: "The exponent starts at 0, including the constant term",
-						Violated:  "Start the exponent at 0 — skipping it drops the constant term",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "coefficient-loop-bound", Kind: constraint.Containment,
-					Pi: "counter-increment", Ui: "u1", Expr: `re:^${ni} <[^=]`,
-					Feedback: constraint.Feedback{
-						Satisfied: "The coefficient loop stops strictly below the array length",
-						Violated:  "The coefficient loop must stop strictly below the array length (use <, not <=)",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "mitx-polynomials",
-		Course:      "MIT 6.00x",
-		Description: "Print the value of the input polynomial at the given x.",
-		Entry:       "evaluate",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 768, L: 6.67, T: 0.12, P: 4, C: 4, M: 0.01, D: 0},
+		ID:     "mitx-polynomials",
+		Course: "MIT 6.00x",
+		Entry:  "evaluate",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 768, L: 6.67, T: 0.12, P: 4, C: 4, M: 0.01, D: 0},
 	})
 }

@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -82,64 +80,12 @@ func init() {
 		},
 	}
 
-	positionConstraint := func(name, residue, field string) *constraint.Compiled {
-		return con(&constraint.Constraint{
-			Name: name, Kind: constraint.Containment,
-			Pi: "record-field-read", Ui: "u0", Expr: "rf % 5 == " + residue,
-			Feedback: constraint.Feedback{
-				Satisfied: "Position " + residue + " (" + field + ") is consumed by its own guard",
-				Violated:  "No read is guarded by i % 5 == " + residue + " — the " + field + " field must be consumed at its own position, not by reusing another condition",
-			},
-		})
-	}
-
-	grading := &core.AssignmentSpec{
-		Name: "rit-medals-by-ath",
-		Methods: []core.MethodSpec{{
-			Name: "countMedalsByAthlete",
-			Patterns: []core.PatternUse{
-				use("scanner-file-loop", 1),
-				use("record-field-read", 5),
-				use("guarded-counter", 1),
-				use("string-field-compare", 2),
-				use("counter-increment", 2),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				positionConstraint("first-name-position", "1", "first name"),
-				positionConstraint("last-name-position", "2", "last name"),
-				positionConstraint("medal-position", "3", "medal type"),
-				positionConstraint("year-position", "4", "year"),
-				positionConstraint("separator-position", "0", "separator"),
-				con(&constraint.Constraint{
-					Name: "name-filter-guards-count", Kind: constraint.Equality,
-					Pi: "string-field-compare", Ui: "u0", Pj: "guarded-counter", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The athlete-name filter is what admits records into the count",
-						Violated:  "Count records under the athlete-name filter itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "both-names-checked", Kind: constraint.Containment,
-					Pi: "guarded-counter", Ui: "u1", Expr: `re:\.equals\(.*&&.*\.equals\(`,
-					Feedback: constraint.Feedback{
-						Satisfied: "Both name fields are compared with .equals",
-						Violated:  "Compare both name fields with .equals — == compares references, not contents",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "rit-medals-by-ath",
-		Course:      "RIT CS1",
-		Description: "Count all medals awarded to a given athlete in the Summer Olympics records file.",
-		Entry:       "countMedalsByAthlete",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 746496, L: 33.5, T: 0.35, P: 9, C: 7, M: 0.25, D: 744},
+		ID:     "rit-medals-by-ath",
+		Course: "RIT CS1",
+		Entry:  "countMedalsByAthlete",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 746496, L: 33.5, T: 0.35, P: 9, C: 7, M: 0.25, D: 744},
 	})
 }

@@ -1,8 +1,6 @@
 package assignments
 
 import (
-	"semfeed/internal/constraint"
-	"semfeed/internal/core"
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/synth"
@@ -80,72 +78,12 @@ func init() {
 		},
 	}
 
-	positionConstraint := func(name, residue, field string) *constraint.Compiled {
-		return con(&constraint.Constraint{
-			Name: name, Kind: constraint.Containment,
-			Pi: "record-field-read", Ui: "u0", Expr: "rf % 5 == " + residue,
-			Feedback: constraint.Feedback{
-				Satisfied: "Position " + residue + " (" + field + ") is consumed by its own guard",
-				Violated:  "No read is guarded by i % 5 == " + residue + " — the " + field + " field must be consumed at its own position, not by reusing another condition",
-			},
-		})
-	}
-
-	grading := &core.AssignmentSpec{
-		Name: "rit-all-g-medals",
-		Methods: []core.MethodSpec{{
-			Name: "countGoldMedals",
-			Patterns: []core.PatternUse{
-				use("scanner-file-loop", 1),
-				use("record-field-read", 5),
-				use("guarded-counter", 1),
-				use("int-field-compare", 1),
-				use("counter-increment", 2),
-				use("assign-print", 1),
-				use("double-index-update", 0),
-			},
-			Constraints: []*constraint.Compiled{
-				positionConstraint("first-name-position", "1", "first name"),
-				positionConstraint("last-name-position", "2", "last name"),
-				positionConstraint("medal-position", "3", "medal type"),
-				positionConstraint("year-position", "4", "year"),
-				positionConstraint("separator-position", "0", "separator"),
-				con(&constraint.Constraint{
-					Name: "filter-guards-count", Kind: constraint.Equality,
-					Pi: "int-field-compare", Ui: "u0", Pj: "guarded-counter", Uj: "u1",
-					Feedback: constraint.Feedback{
-						Satisfied: "The year/medal filter is what admits records into the count",
-						Violated:  "Count records under the year/medal filter itself",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "gold-is-type-1", Kind: constraint.Containment,
-					Pi: "guarded-counter", Ui: "u1", Expr: "== 1",
-					Feedback: constraint.Feedback{
-						Satisfied: "You filter medal type 1 — gold",
-						Violated:  "Gold medals are type 1 in the records file",
-					},
-				}),
-				con(&constraint.Constraint{
-					Name: "filters-combined-with-and", Kind: constraint.Containment,
-					Pi: "guarded-counter", Ui: "u1", Expr: "re:&&",
-					Feedback: constraint.Feedback{
-						Satisfied: "Year and medal type are required together (&&)",
-						Violated:  "Require the year AND the medal type together — || counts far too much",
-					},
-				}),
-			},
-		}},
-	}
-
 	register(&Assignment{
-		ID:          "rit-all-g-medals",
-		Course:      "RIT CS1",
-		Description: "Count all gold medals awarded in a given year of the Summer Olympics records file.",
-		Entry:       "countGoldMedals",
-		Synth:       spec,
-		Tests:       tests,
-		Spec:        grading,
-		Paper:       PaperRow{S: 559872, L: 24.67, T: 0.32, P: 9, C: 7, M: 0.13, D: 1872},
+		ID:     "rit-all-g-medals",
+		Course: "RIT CS1",
+		Entry:  "countGoldMedals",
+		Synth:  spec,
+		Tests:  tests,
+		Paper:  PaperRow{S: 559872, L: 24.67, T: 0.32, P: 9, C: 7, M: 0.13, D: 1872},
 	})
 }

@@ -131,7 +131,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.members) == 1 {
 		return map[string]float64{r.members[0]: 1}
 	}
-	const circle = float64(1 << 63) * 2 // 2^64 as a float
+	const circle = float64(1<<63) * 2 // 2^64 as a float
 	arcs := make(map[string]float64, len(r.members))
 	// points are sorted; point i owns the arc (points[i-1], points[i]], with
 	// the first point owning the wrap-around arc past the last. Unsigned

@@ -76,33 +76,24 @@ func TestAssignmentDefAnalyzersRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if back.Analyzers == nil {
+		t.Fatal("re-read definition lacks analyzers field")
+	}
 	spec, errs := back.Compile()
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}
-	out := kb.ExportAssignmentDef("lint-demo", "", spec)
-	if out.Analyzers == nil {
-		t.Fatal("exported definition lacks analyzers field")
-	}
-	if names := *out.Analyzers; len(names) != 2 || names[0] != "usebeforedef" || names[1] != "constcond" {
-		t.Errorf("exported analyzers = %v", names)
+	if names := spec.Analysis.Names(); len(names) != 2 || names[0] != "usebeforedef" || names[1] != "constcond" {
+		t.Errorf("round-tripped analyzers = %v", names)
 	}
 }
 
 func TestAssignmentDefAnalyzersOptOutRoundTrip(t *testing.T) {
 	// An explicit empty list (analysis disabled) must survive
-	// Compile -> Export -> serialize -> Compile without silently
-	// re-enabling the inherited grader default.
-	spec, errs := minimalDef([]string{}).Compile()
-	if len(errs) > 0 {
-		t.Fatal(errs)
-	}
-	out := kb.ExportAssignmentDef("lint-demo", "", spec)
-	if out.Analyzers == nil || len(*out.Analyzers) != 0 {
-		t.Fatalf("opt-out should export as an explicit empty list, got %v", out.Analyzers)
-	}
+	// serialize -> read -> Compile without silently re-enabling the
+	// inherited grader default.
 	var buf bytes.Buffer
-	if err := kb.WriteAssignmentDef(&buf, out); err != nil {
+	if err := kb.WriteAssignmentDef(&buf, minimalDef([]string{})); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"analyzers": []`) {
@@ -112,12 +103,15 @@ func TestAssignmentDefAnalyzersOptOutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec2, errs := back.Compile()
+	if back.Analyzers == nil || len(*back.Analyzers) != 0 {
+		t.Fatalf("opt-out should read back as an explicit empty list, got %v", back.Analyzers)
+	}
+	spec, errs := back.Compile()
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}
-	if spec2.Analysis == nil || len(spec2.Analysis.Names()) != 0 {
-		t.Errorf("opt-out did not survive the round-trip: Analysis = %v", spec2.Analysis)
+	if spec.Analysis == nil || len(spec.Analysis.Names()) != 0 {
+		t.Errorf("opt-out did not survive the round-trip: Analysis = %v", spec.Analysis)
 	}
 }
 

@@ -8,19 +8,9 @@ import (
 
 // Extension patterns implement the paper's Section VII future work — pattern
 // variability: the same semantics achieved by a different strategy. They are
-// kept outside the 24-pattern published catalog and are combined with
-// catalog patterns through pattern.Group.
+// loaded from builtin/extensions.json, kept outside the 24-pattern published
+// catalog and combined with catalog patterns through pattern.Group.
 var extensions = map[string]*pattern.Compiled{}
-
-func registerExt(p *pattern.Pattern) {
-	if _, dup := extensions[p.Name]; dup {
-		panic("kb: duplicate extension pattern " + p.Name)
-	}
-	if _, dup := catalog[p.Name]; dup {
-		panic("kb: extension pattern shadows catalog pattern " + p.Name)
-	}
-	extensions[p.Name] = pattern.MustCompile(p)
-}
 
 // Extension returns a compiled extension pattern; it panics on unknown names.
 func Extension(name string) *pattern.Compiled {
@@ -68,57 +58,4 @@ func MulAccumGroup() *pattern.Group {
 		Pattern("cond-accumulate-mul"),
 		Extension("loop-accumulate-mul"),
 	)
-}
-
-func init() {
-	// loop-accumulate-mul — product accumulation directly under a single
-	// loop condition (no inner guard).
-	registerExt(&pattern.Pattern{
-		Name:        "loop-accumulate-mul",
-		Description: "Cumulatively multiplying directly under a loop condition",
-		Vars:        []string{"lm"},
-		Nodes: []pattern.Node{
-			{ID: "u0", Type: "Assign", Exact: []string{"lm = 1"}, Approx: []string{"lm ="},
-				Feedback: pattern.NodeFeedback{Correct: "Accumulator {lm} starts at 1", Incorrect: "Accumulator {lm} should start at 1 for a product"}},
-			{ID: "u1", Type: "Cond", Exact: []string{"re:."}},
-			{ID: "u2", Type: "Assign", Exact: []string{"lm *=", "lm = lm *"},
-				Feedback: pattern.NodeFeedback{Correct: "{lm} accumulates with *="}},
-		},
-		Edges: []pattern.Edge{
-			{From: "u0", To: "u2", Type: "Data"},
-			{From: "u1", To: "u2", Type: "Ctrl"},
-		},
-		Present: "You accumulate a product into {lm} inside the loop",
-		Missing: "No in-loop cumulative multiplication found",
-	})
-
-	// stride-2-even-access — the i += 2 strategy of Section VI-B's third
-	// Assignment 1 discrepancy class.
-	registerExt(&pattern.Pattern{
-		Name:        "stride-2-even-access",
-		Description: "Accessing even positions by striding the index two at a time",
-		Vars:        []string{"vs", "vy"},
-		Nodes: []pattern.Node{
-			{ID: "u0", Type: "Untyped", Exact: []string{"vs"}},
-			{ID: "u1", Type: "Assign", Exact: []string{"vy = 0"}, Approx: []string{"vy ="},
-				Feedback: pattern.NodeFeedback{Correct: "{vy} starts at 0, the first even position", Incorrect: "{vy} should start at 0, the first even position"}},
-			{ID: "u2", Type: "Assign", Exact: []string{"vy += 2", "vy = vy + 2"}, Approx: []string{"vy += ", "vy = vy +"},
-				Feedback: pattern.NodeFeedback{Correct: "{vy} strides two positions at a time", Incorrect: "{vy} should stride exactly two positions at a time"}},
-			{ID: "u3", Type: "Cond", Exact: []string{"vy < vs.length"},
-				Approx:   []string{"vy <= vs.length"},
-				Feedback: pattern.NodeFeedback{Correct: "{vy} stays below {vs}.length", Incorrect: "{vy} is out of bounds: it must stay below {vs}.length"}},
-			{ID: "u4", Type: "Untyped", Exact: []string{"vs[vy]"}, Approx: []string{`re:${vs}\[[^\]]*${vy}[^\]]*\]`},
-				Feedback: pattern.NodeFeedback{Correct: "{vy} is used exactly to access {vs}", Incorrect: "You should access {vs} by using {vy} exactly"}},
-		},
-		Edges: []pattern.Edge{
-			{From: "u0", To: "u3", Type: "Data"},
-			{From: "u0", To: "u4", Type: "Data"},
-			{From: "u1", To: "u3", Type: "Data"},
-			{From: "u1", To: "u4", Type: "Data"},
-			{From: "u3", To: "u2", Type: "Ctrl"},
-			{From: "u3", To: "u4", Type: "Ctrl"},
-		},
-		Present: "You visit the even positions of {vs} by striding {vy} two at a time",
-		Missing: "No stride-2 access over the array found",
-	})
 }

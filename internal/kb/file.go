@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"semfeed/internal/analysis"
 	"semfeed/internal/constraint"
@@ -13,11 +12,12 @@ import (
 )
 
 // AssignmentDef is the serializable knowledge-base definition of one
-// assignment: the file format the grading service hot-loads from its KB
-// directory and kblint validates. A definition references patterns from the
-// built-in catalog (and its Section VII extensions) by name, may declare
-// additional inline patterns, and wires pattern uses, variability groups and
-// constraints to the expected methods exactly as core.AssignmentSpec does.
+// assignment: the file format of the builtin assignments (builtin/assignments),
+// of the files the grading service hot-loads from its KB directory, and of
+// kblint's input. A definition references patterns from the built-in catalog
+// (and its Section VII extensions) by name, may declare additional inline
+// patterns, and wires pattern uses, variability groups and constraints to
+// the expected methods exactly as core.AssignmentSpec does.
 type AssignmentDef struct {
 	ID          string            `json:"id"`
 	Description string            `json:"description,omitempty"`
@@ -29,8 +29,8 @@ type AssignmentDef struct {
 	// assignment, by name from the built-in analysis registry. Absent (nil)
 	// means "inherit the grader default"; an explicit empty list disables
 	// analysis for this assignment — the pointer keeps the two states apart
-	// in JSON so the opt-out survives an Export round-trip. Hot-reloads with
-	// the rest of the definition.
+	// in JSON so the opt-out survives a write/read round-trip. Hot-reloads
+	// with the rest of the definition.
 	Analyzers *[]string `json:"analyzers,omitempty"`
 }
 
@@ -82,11 +82,11 @@ func WriteAssignmentDef(w io.Writer, def *AssignmentDef) error {
 	return enc.Encode(def)
 }
 
-// Compile resolves and validates the definition into a grading spec. Unlike
-// the panicking builders of the built-in catalog, every violation is
-// collected — unknown pattern references, bad inline patterns, constraints
-// whose cross-references do not resolve — so tooling (kblint) can report all
-// of them in one pass. The spec is nil when any violation was found.
+// Compile resolves and validates the definition into a grading spec. Every
+// violation is collected — unknown pattern references, negative counts, bad
+// inline patterns, constraints whose cross-references do not resolve — so
+// tooling (kblint) can report all of them in one pass. The spec is nil when
+// any violation was found.
 func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -189,6 +189,10 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 				fail("assignment %s: method %s references unknown group %q", d.ID, md.Name, gu.Name)
 				continue
 			}
+			if gu.Count < 0 {
+				fail("assignment %s: method %s: group %q has negative count %d", d.ID, md.Name, gu.Name, gu.Count)
+				continue
+			}
 			ms.Groups = append(ms.Groups, core.GroupUse{Group: g, Count: gu.Count})
 		}
 		for i := range md.Constraints {
@@ -207,86 +211,4 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 		return nil, errs
 	}
 	return spec, nil
-}
-
-// ExportAssignmentDef turns a compiled spec back into its serializable
-// definition. Patterns that are the catalog or extension entry of the same
-// name are referenced by name; anything else is inlined, so the output is
-// self-contained and round-trips through Compile.
-func ExportAssignmentDef(id, description string, spec *core.AssignmentSpec) *AssignmentDef {
-	def := &AssignmentDef{ID: id, Description: description}
-	if spec.Analysis != nil {
-		// An empty driver (the explicit opt-out) exports as an explicit empty
-		// list — not an absent field — so disabling analysis survives the
-		// round-trip through Compile.
-		names := spec.Analysis.Names()
-		def.Analyzers = &names
-	}
-	inlined := map[string]bool{}
-	groupsSeen := map[string]bool{}
-
-	builtin := func(p *pattern.Compiled) bool {
-		return catalog[p.Name()] == p || extensions[p.Name()] == p
-	}
-	inline := func(p *pattern.Compiled) {
-		if builtin(p) || inlined[p.Name()] {
-			return
-		}
-		inlined[p.Name()] = true
-		def.Patterns = append(def.Patterns, *p.Source)
-	}
-
-	for _, m := range spec.Methods {
-		md := MethodDef{Name: m.Name}
-		for _, pu := range m.Patterns {
-			inline(pu.Pattern)
-			md.Patterns = append(md.Patterns, PatternUseDef{Name: pu.Pattern.Name(), Count: pu.Count})
-		}
-		for _, gu := range m.Groups {
-			if !groupsSeen[gu.Group.Name] {
-				groupsSeen[gu.Group.Name] = true
-				gd := GroupDef{Name: gu.Group.Name, Description: gu.Group.Description, Missing: gu.Group.Missing}
-				for _, member := range gu.Group.Members {
-					inline(member)
-					gd.Members = append(gd.Members, member.Name())
-				}
-				def.Groups = append(def.Groups, gd)
-			}
-			md.Groups = append(md.Groups, GroupUseDef{Name: gu.Group.Name, Count: gu.Count})
-		}
-		for _, con := range m.Constraints {
-			for _, p := range constraintPatterns(con) {
-				inline(p)
-			}
-			md.Constraints = append(md.Constraints, *con.Source)
-		}
-		def.Methods = append(def.Methods, md)
-	}
-	sort.Slice(def.Patterns, func(i, j int) bool { return def.Patterns[i].Name < def.Patterns[j].Name })
-	return def
-}
-
-// constraintPatterns resolves the compiled patterns a constraint references,
-// looking each name up in the merged built-in registry first; names that are
-// not built-ins must already be inlined by the caller's pattern uses, which
-// Compile verifies.
-func constraintPatterns(con *constraint.Compiled) []*pattern.Compiled {
-	var out []*pattern.Compiled
-	add := func(name string) {
-		if name == "" {
-			return
-		}
-		if p, ok := catalog[name]; ok {
-			out = append(out, p)
-		} else if p, ok := extensions[name]; ok {
-			out = append(out, p)
-		}
-	}
-	src := con.Source
-	add(src.Pi)
-	add(src.Pj)
-	for _, s := range src.Supporting {
-		add(s)
-	}
-	return out
 }

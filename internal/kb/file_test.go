@@ -1,77 +1,32 @@
 package kb_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
-	"semfeed/internal/assignments"
 	"semfeed/internal/constraint"
 	"semfeed/internal/core"
 	"semfeed/internal/kb"
 )
 
-// TestAssignmentDefRoundTrip exports every built-in assignment as a KB
-// definition file, reads it back, compiles it, and checks that grading the
-// reference solution with the recompiled spec reproduces the built-in
-// spec's report exactly (score, max score, comment statuses).
-func TestAssignmentDefRoundTrip(t *testing.T) {
-	grader := core.NewGrader(core.Options{})
-	for _, a := range assignments.All() {
-		def := kb.ExportAssignmentDef(a.ID, a.Description, a.Spec)
-
-		var buf bytes.Buffer
-		if err := kb.WriteAssignmentDef(&buf, def); err != nil {
-			t.Fatalf("%s: write: %v", a.ID, err)
-		}
-		back, err := kb.ReadAssignmentDef(&buf)
-		if err != nil {
-			t.Fatalf("%s: read: %v", a.ID, err)
-		}
-		spec, errs := back.Compile()
-		if len(errs) > 0 {
-			t.Fatalf("%s: compile: %v", a.ID, errs)
-		}
-
-		want, err := grader.Grade(a.Reference(), a.Spec)
-		if err != nil {
-			t.Fatalf("%s: grade builtin: %v", a.ID, err)
-		}
-		got, err := grader.Grade(a.Reference(), spec)
-		if err != nil {
-			t.Fatalf("%s: grade recompiled: %v", a.ID, err)
-		}
-		if got.Score != want.Score || got.MaxScore != want.MaxScore {
-			t.Errorf("%s: recompiled spec scores %v/%v, builtin %v/%v",
-				a.ID, got.Score, got.MaxScore, want.Score, want.MaxScore)
-		}
-		if len(got.Comments) != len(want.Comments) {
-			t.Fatalf("%s: recompiled spec yields %d comments, builtin %d",
-				a.ID, len(got.Comments), len(want.Comments))
-		}
-		for i := range got.Comments {
-			if got.Comments[i].Status != want.Comments[i].Status || got.Comments[i].Source != want.Comments[i].Source {
-				t.Errorf("%s: comment %d differs: got %s/%s want %s/%s", a.ID, i,
-					got.Comments[i].Source, got.Comments[i].Status,
-					want.Comments[i].Source, want.Comments[i].Status)
-			}
-		}
-	}
-}
-
 // TestAssignmentDefViolationsCollected pins that Compile reports every
-// violation, not just the first: an unknown pattern use, a constraint whose
-// cross-reference does not resolve, and a constraint naming a missing node
-// must all surface in one pass.
+// violation, not just the first: an unknown pattern use, a negative group
+// count, a constraint whose cross-reference does not resolve, and a
+// constraint naming a missing node must all surface in one pass.
 func TestAssignmentDefViolationsCollected(t *testing.T) {
 	def := &kb.AssignmentDef{
 		ID: "broken",
+		Groups: []kb.GroupDef{{
+			Name:    "even-any",
+			Members: []string{"seq-even-access", "stride-2-even-access"},
+		}},
 		Methods: []kb.MethodDef{{
 			Name: "m",
 			Patterns: []kb.PatternUseDef{
 				{Name: "no-such-pattern", Count: 1},
 				{Name: "digit-extraction", Count: 1},
 			},
+			Groups: []kb.GroupUseDef{{Name: "even-any", Count: -1}},
 			Constraints: []constraint.Constraint{
 				{Name: "bad-ref", Kind: constraint.Equality,
 					Pi: "digit-extraction", Ui: "u1", Pj: "also-missing", Uj: "u0"},
@@ -84,14 +39,14 @@ func TestAssignmentDefViolationsCollected(t *testing.T) {
 	if spec != nil {
 		t.Fatalf("expected nil spec for broken definition")
 	}
-	if len(errs) != 3 {
-		t.Fatalf("expected 3 violations, got %d: %v", len(errs), errs)
+	if len(errs) != 4 {
+		t.Fatalf("expected 4 violations, got %d: %v", len(errs), errs)
 	}
 	joined := ""
 	for _, e := range errs {
 		joined += e.Error() + "\n"
 	}
-	for _, want := range []string{"no-such-pattern", "also-missing", `no node "nope"`} {
+	for _, want := range []string{"no-such-pattern", `group "even-any" has negative count -1`, "also-missing", `no node "nope"`} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("violations missing %q:\n%s", want, joined)
 		}
