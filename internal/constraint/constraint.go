@@ -60,6 +60,7 @@ type Compiled struct {
 	ui, uj   int
 	edgeType pdg.EdgeType
 	expr     *expr.Template
+	nvars    int // slots of expr: the variables of pi and the supporting patterns
 	support  []*pattern.Compiled
 }
 
@@ -133,6 +134,7 @@ func Compile(c *Constraint, patterns map[string]*pattern.Compiled) (*Compiled, e
 		if err != nil {
 			return nil, fmt.Errorf("constraint %s: %v", c.Name, err)
 		}
+		out.nvars = len(vars)
 	default:
 		return nil, fmt.Errorf("constraint %s: unknown kind %q", c.Name, c.Kind)
 	}
@@ -260,13 +262,15 @@ func (c *Compiled) check(g *pdg.Graph, embs map[string][]match.Embedding) Result
 
 	case Containment:
 		var best map[string]string
+		var linked expr.Linked
+		c.expr.Link(g, &linked)
+		slots := make([]int32, c.nvars)
 		for _, mi := range embs[c.Source.Pi] {
-			node := g.Node(mi.Iota[c.ui])
 			for _, gamma := range c.supportCombos(embs, mi.Gamma, &combos) {
 				if best == nil {
 					best = gamma
 				}
-				if c.expr.Match(gamma, node.Renderings()) {
+				if linked.MatchMap(gamma, mi.Iota[c.ui], slots) {
 					return Result{Constraint: c, Status: Correct, Gamma: gamma, Combos: combos}
 				}
 			}

@@ -15,6 +15,12 @@
 // it with "re:". Inside a regex alternative, occurrences of ${v} are replaced
 // by the quoted, γ-mapped name of pattern variable v before compilation. This
 // mirrors the paper's use of regular expressions for approximate matching.
+//
+// Template.Match, over γ as a map and renderings as strings, is the
+// reference form of the relation. The matcher's hot path links a template
+// to one graph's token table (Link) and tests γ in slot form, a token ID per
+// pattern variable, against renderings tokenized once per graph; FuzzTemplateMatch
+// holds the two forms equal.
 package expr
 
 import (
@@ -33,21 +39,29 @@ const regexPrefix = "re:"
 // Template is one compiled incomplete Java expression with alternatives.
 // The zero value matches nothing.
 type Template struct {
-	alts []alternative
-	vars []string // pattern variables appearing in any alternative, ordered
+	alts  []alternative
+	vars  []string // pattern variables appearing in any alternative, ordered
+	slots []int    // per vars entry, its slot (see Slots)
 }
 
 type alternative struct {
 	raw     string
 	isRegex bool
-	tokens  []string // token form for fragment alternatives
-	varIdx  [][]int  // per token: indexes into vars if the token is a variable
+
+	// Fragment form.
+	tokens []string // canonical tokens
+	slot   []int    // per token: the variable's slot, or -1 for a literal
+
+	// Regex form: the body cut around its ${v} references, so that a γ is
+	// spliced in one pass as lits[0] γ(refs[0]) lits[1] … lits[len(refs)].
+	lits []string
+	refs []int // slot of each reference
 }
 
 // Compile builds a template from raw alternatives given the declared pattern
 // variables of the enclosing pattern. Alternatives that are fragments are
 // tokenized with the canonical tokenizer; occurrences of declared variables
-// become placeholders.
+// become placeholders. A variable's slot is its index in patternVars.
 func Compile(alternatives []string, patternVars []string) (*Template, error) {
 	varSet := make(map[string]int, len(patternVars))
 	for i, v := range patternVars {
@@ -59,6 +73,7 @@ func Compile(alternatives []string, patternVars []string) (*Template, error) {
 		if !seen[v] {
 			seen[v] = true
 			t.vars = append(t.vars, v)
+			t.slots = append(t.slots, varSet[v])
 		}
 	}
 	for _, raw := range alternatives {
@@ -83,23 +98,54 @@ func Compile(alternatives []string, patternVars []string) (*Template, error) {
 			if _, err := regexp.Compile(probe); err != nil {
 				return nil, fmt.Errorf("expr: bad regex alternative %q: %v", raw, err)
 			}
-			t.alts = append(t.alts, alternative{raw: body, isRegex: true})
+			a := alternative{raw: body, isRegex: true}
+			a.lits, a.refs = splitRefs(body, varSet)
+			t.alts = append(t.alts, a)
 			continue
 		}
 		toks := pretty.Tokens(normalizeFragment(raw))
 		if len(toks) == 0 {
 			continue
 		}
-		a := alternative{raw: raw, tokens: toks, varIdx: make([][]int, len(toks))}
+		a := alternative{raw: raw, tokens: toks, slot: make([]int, len(toks))}
 		for i, tok := range toks {
+			a.slot[i] = -1
 			if idx, ok := varSet[tok]; ok {
-				a.varIdx[i] = []int{idx}
+				a.slot[i] = idx
 				addVar(tok)
 			}
 		}
 		t.alts = append(t.alts, a)
 	}
 	return t, nil
+}
+
+// splitRefs cuts a regex body around its ${v} references to declared
+// variables. Any other "${" stays literal text, which the splice then
+// rejects as an unbound reference, as the reference form does.
+func splitRefs(body string, varSet map[string]int) (lits []string, refs []int) {
+	start := 0
+	for i := 0; ; {
+		j := strings.Index(body[i:], "${")
+		if j < 0 {
+			break
+		}
+		j += i
+		k := strings.IndexByte(body[j+2:], '}')
+		if k < 0 {
+			break
+		}
+		k += j + 2
+		slot, ok := varSet[body[j+2:k]]
+		if !ok {
+			i = j + 1
+			continue
+		}
+		lits = append(lits, body[start:j])
+		refs = append(refs, slot)
+		start, i = k+1, k+1
+	}
+	return append(lits, body[start:]), refs
 }
 
 // MustCompile is Compile that panics on error; for statically-known templates.
@@ -126,6 +172,16 @@ func (t *Template) Vars() []string {
 	return t.vars
 }
 
+// Slots returns the slot of each variable of Vars: its index in the pattern
+// variables the template was compiled with. γ in slot form is indexed by
+// slot.
+func (t *Template) Slots() []int {
+	if t == nil {
+		return nil
+	}
+	return t.slots
+}
+
 // Empty reports whether the template has no alternatives (matches nothing).
 func (t *Template) Empty() bool { return t == nil || len(t.alts) == 0 }
 
@@ -145,7 +201,7 @@ func (t *Template) Match(gamma map[string]string, renderings []string) bool {
 		needle := make([]string, len(a.tokens))
 		ok := true
 		for i, tok := range a.tokens {
-			if len(a.varIdx[i]) > 0 {
+			if a.slot[i] >= 0 {
 				mapped, bound := gamma[tok]
 				if !bound {
 					ok = false
@@ -184,6 +240,12 @@ func matchRegexAlt(body string, gamma map[string]string, renderings []string) bo
 	for v, mapped := range gamma {
 		pat = strings.ReplaceAll(pat, "${"+v+"}", regexp.QuoteMeta(mapped))
 	}
+	return matchRegex(pat, renderings)
+}
+
+// matchRegex compiles a γ-substituted regex body, through regexCache, and
+// reports whether it matches any rendering.
+func matchRegex(pat string, renderings []string) bool {
 	if strings.Contains(pat, "${") {
 		return false // refers to an unbound variable
 	}
@@ -231,44 +293,4 @@ outer:
 		return true
 	}
 	return false
-}
-
-// Injections enumerates every injective mapping from xs into ys as a slice of
-// maps. It returns a single empty map when xs is empty, and nil when
-// len(xs) > len(ys). This generalizes the paper's Combinations(X, Y): the
-// paper requires |X| = |Y|, but its own worked example (pattern node u5 over
-// graph node v7, which mentions the extra variable odd) needs |X| ≤ |Y|.
-func Injections(xs, ys []string) []map[string]string {
-	if len(xs) > len(ys) {
-		return nil
-	}
-	if len(xs) == 0 {
-		return []map[string]string{{}}
-	}
-	var out []map[string]string
-	used := make([]bool, len(ys))
-	cur := make(map[string]string, len(xs))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(xs) {
-			m := make(map[string]string, len(cur))
-			for k, v := range cur {
-				m[k] = v
-			}
-			out = append(out, m)
-			return
-		}
-		for j, y := range ys {
-			if used[j] {
-				continue
-			}
-			used[j] = true
-			cur[xs[i]] = y
-			rec(i + 1)
-			delete(cur, xs[i])
-			used[j] = false
-		}
-	}
-	rec(0)
-	return out
 }

@@ -153,68 +153,6 @@ func TestEmptyTemplate(t *testing.T) {
 	}
 }
 
-func TestInjections(t *testing.T) {
-	cases := []struct {
-		xs, ys []string
-		count  int
-	}{
-		{nil, nil, 1},
-		{nil, []string{"a", "b"}, 1},
-		{[]string{"x"}, []string{"a"}, 1},
-		{[]string{"x"}, []string{"a", "b"}, 2},
-		{[]string{"x", "y"}, []string{"a", "b"}, 2},
-		{[]string{"x", "y"}, []string{"a", "b", "c"}, 6},
-		{[]string{"x", "y", "z"}, []string{"a", "b"}, 0},
-	}
-	for _, c := range cases {
-		got := expr.Injections(c.xs, c.ys)
-		if len(got) != c.count {
-			t.Errorf("Injections(%v, %v): %d mappings, want %d", c.xs, c.ys, len(got), c.count)
-		}
-		// Every mapping must be injective and total over xs.
-		for _, m := range got {
-			if len(m) != len(c.xs) {
-				t.Errorf("mapping %v not total over %v", m, c.xs)
-			}
-			used := map[string]bool{}
-			for _, v := range m {
-				if used[v] {
-					t.Errorf("mapping %v not injective", m)
-				}
-				used[v] = true
-			}
-		}
-	}
-}
-
-// TestQuickInjectionCount: |Injections(X, Y)| = |Y|! / (|Y|-|X|)!.
-func TestQuickInjectionCount(t *testing.T) {
-	f := func(nx, ny uint8) bool {
-		x, y := int(nx%4), int(ny%5)
-		xs := make([]string, x)
-		for i := range xs {
-			xs[i] = "x" + string(rune('0'+i))
-		}
-		ys := make([]string, y)
-		for i := range ys {
-			ys[i] = "y" + string(rune('0'+i))
-		}
-		got := len(expr.Injections(xs, ys))
-		want := 1
-		if x > y {
-			want = 0
-		} else {
-			for i := 0; i < x; i++ {
-				want *= y - i
-			}
-		}
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickSubstitutedSelfMatch: a fragment always matches itself after
 // substitution, whatever names γ assigns.
 func TestQuickSubstitutedSelfMatch(t *testing.T) {

@@ -307,56 +307,77 @@ func escape(s string) string {
 // containment constraints and by approximate matching.
 func Tokens(canonical string) []string {
 	var toks []string
-	i := 0
-	for i < len(canonical) {
-		c := canonical[i]
-		switch {
-		case c == ' ':
-			i++
-		case isWordByte(c):
-			j := i
-			for j < len(canonical) && isWordByte(canonical[j]) {
-				j++
-			}
-			toks = append(toks, canonical[i:j])
-			i = j
-		case c == '"' || c == '\'':
-			q := c
-			j := i + 1
-			for j < len(canonical) {
-				if canonical[j] == '\\' {
-					j += 2
-					continue
-				}
-				if canonical[j] == q {
-					j++
-					break
-				}
-				j++
-			}
-			toks = append(toks, canonical[i:j])
-			i = j
-		default:
-			// Multi-byte operators.
-			for _, op := range multiOps {
-				if strings.HasPrefix(canonical[i:], op) {
-					toks = append(toks, op)
-					i += len(op)
-					goto next
-				}
-			}
-			toks = append(toks, string(c))
-			i++
-		next:
-		}
+	for tok, i := NextToken(canonical, 0); tok != ""; tok, i = NextToken(canonical, i) {
+		toks = append(toks, tok)
 	}
 	return toks
+}
+
+// NextToken returns the first token of canonical at or after byte offset i
+// and the offset just past it, or "" when no token remains. Looping over it
+// yields Tokens without building the slice.
+func NextToken(canonical string, i int) (tok string, next int) {
+	for i < len(canonical) && canonical[i] == ' ' {
+		i++
+	}
+	if i >= len(canonical) {
+		return "", i
+	}
+	c := canonical[i]
+	switch {
+	case isWordByte(c):
+		j := i
+		for j < len(canonical) && isWordByte(canonical[j]) {
+			j++
+		}
+		return canonical[i:j], j
+	case c == '"' || c == '\'':
+		j := i + 1
+		for j < len(canonical) {
+			if canonical[j] == '\\' {
+				j += 2
+				continue
+			}
+			if canonical[j] == c {
+				j++
+				break
+			}
+			j++
+		}
+		// An escape at the very end steps past the string; clamp as the
+		// slice expression below requires.
+		if j > len(canonical) {
+			j = len(canonical)
+		}
+		return canonical[i:j], j
+	}
+	// Multi-byte operators.
+	for _, op := range opsByFirst[c] {
+		if strings.HasPrefix(canonical[i:], op) {
+			return op, i + len(op)
+		}
+	}
+	if c < 0x80 {
+		return canonical[i : i+1], i + 1
+	}
+	// A byte outside ASCII becomes the UTF-8 encoding of the rune with that
+	// value, so each non-ASCII byte of an identifier is a token of its own.
+	return string(rune(c)), i + 1
 }
 
 var multiOps = []string{
 	"<<=", ">>=", ">>>", "...", "==", "!=", "<=", ">=", "&&", "||",
 	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "<<", ">>",
 }
+
+// opsByFirst lists multiOps by first byte, each list in multiOps order, so
+// a token is tried only against the operators it can start.
+var opsByFirst = func() (t [256][]string) {
+	for _, op := range multiOps {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
 
 func isWordByte(c byte) bool {
 	return c == '_' || c == '$' ||

@@ -5,6 +5,7 @@
 package match
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -46,13 +47,13 @@ func (e *Embedding) GraphNode(patternNodeID string) int {
 	return e.Iota[i]
 }
 
-// Key returns a canonical identity for deduplication.
+// Key returns a canonical identity of the embedding, for deduplicating
+// embeddings across searches. (A search dedups on ι and its slot form of
+// γ, which need no sorting.)
 func (e *Embedding) Key() string { return string(e.AppendKey(nil)) }
 
 // AppendKey appends the canonical identity to buf and returns the extended
-// slice. The searcher reuses one buffer across the whole search so the dedup
-// check in the hot path does not allocate per candidate embedding (the
-// fmt.Fprintf predecessor allocated per node).
+// slice, so a caller keying many embeddings can reuse one buffer.
 //
 // γ entries are length-prefixed ("3:abc") rather than joined with separator
 // characters: variable names are arbitrary submission identifiers, so a
@@ -125,6 +126,10 @@ type Work struct {
 	// Cancelled is the number of searches abandoned because Options.Done
 	// fired (a serving deadline); their embeddings are partial.
 	Cancelled int64
+	// GammaTries is the number of template tests: one per complete γ
+	// tested against r or r̂ (Algorithm 1 lines 16-19), and one per
+	// variable-free template test of the constant-template prefilter.
+	GammaTries int64
 }
 
 // Add accumulates other into w.
@@ -135,6 +140,7 @@ func (w *Work) Add(other Work) {
 	w.Embeddings += other.Embeddings
 	w.StepLimitHits += other.StepLimitHits
 	w.Cancelled += other.Cancelled
+	w.GammaTries += other.GammaTries
 }
 
 // Options tune the matcher; the zero value applies the defaults.
@@ -195,6 +201,7 @@ var searcherPool = sync.Pool{New: func() any { return new(searcher) }}
 func FindOpts(p *pattern.Compiled, g *pdg.Graph, opts Options) []Embedding {
 	s := searcherPool.Get().(*searcher)
 	s.reset(p, g, opts)
+	s.link()
 	s.computeSearchSpace()
 	s.computeOrder()
 	s.search(0)
@@ -204,6 +211,7 @@ func FindOpts(p *pattern.Compiled, g *pdg.Graph, opts Options) []Embedding {
 		Steps:      int64(s.steps),
 		Backtracks: int64(s.backtracks),
 		Embeddings: int64(len(s.out)),
+		GammaTries: int64(s.gammaTries),
 	}
 	if s.steps >= opts.maxSteps() {
 		work.StepLimitHits = 1
@@ -291,91 +299,118 @@ func SearchSpace(p *pattern.Compiled, g *pdg.Graph) [][]int {
 type searcher struct {
 	p    *pattern.Compiled
 	g    *pdg.Graph
+	ix   *pdg.Index
 	opts Options
 
-	phi   [][]int
-	order []int
+	phi    [][]int
+	order  []int
+	chosen []bool        // computeOrder scratch
+	linked []expr.Linked // per pattern node i: r at 2i, r̂ at 2i+1
 
 	iota       []int
 	approx     []bool
-	gamma      map[string]string
-	used       []bool // graph node ID -> already bound in ι
-	ranGamma   map[string]bool
+	gamma      []int32 // γ in slot form (see expr.Linked)
+	used       []bool  // graph node ID -> already bound in ι
+	frames     []frame // per search depth, the γ enumeration's scratch
+	stamp      []uint32
+	gen        uint32 // stamp[t] == gen marks token t as a surviving candidate
 	seen       map[string]bool
 	keyBuf     []byte
 	steps      int
 	backtracks int
+	gammaTries int
 	cancelled  bool
 
 	out []Embedding
+}
+
+// frame is the scratch of one γ enumeration: the injections of a
+// template's fresh variables into a graph node's variables outside γ's
+// range (Algorithm 1 lines 16-19).
+type frame struct {
+	ys    []int32 // candidate submission variables, as token IDs
+	taken []bool  // per ys entry: bound by the enumeration in progress
+	xs    []int   // slots of the fresh variables, in template order
+	cands []int32 // per xs entry, its surviving indexes into ys, run by run
+	ends  []int   // per xs entry, the end of its run in cands
+	toks  []int32 // expr.Linked.SlotTokens scratch
 }
 
 // maxRetainedSeen bounds the dedup set a pooled searcher keeps between
 // calls; pathological searches would otherwise pin their peak memory.
 const maxRetainedSeen = 4096
 
+// maxRetainedTokens bounds the per-token scratch a pooled searcher keeps
+// between calls, for the same reason: a wide submission's token table can
+// be arbitrarily large.
+const maxRetainedTokens = 1 << 14
+
 // reset prepares a (possibly pooled) searcher for one FindOpts call,
 // reusing whatever scratch capacity survived the previous call.
 func (s *searcher) reset(p *pattern.Compiled, g *pdg.Graph, opts Options) {
 	s.p, s.g, s.opts = p, g, opts
+	s.ix = g.Index()
 	n := len(p.Nodes)
-	if cap(s.phi) >= n {
-		s.phi = s.phi[:n]
-	} else {
-		s.phi = make([][]int, n)
-	}
+	s.phi = resize(s.phi, n)
 	s.order = s.order[:0]
-	if cap(s.iota) >= n {
-		s.iota = s.iota[:n]
-	} else {
-		s.iota = make([]int, n)
-	}
+	s.iota = resize(s.iota, n)
 	for i := range s.iota {
 		s.iota[i] = -1
 	}
-	if cap(s.approx) >= n {
-		s.approx = s.approx[:n]
-		for i := range s.approx {
-			s.approx[i] = false
-		}
-	} else {
-		s.approx = make([]bool, n)
+	s.approx = resize(s.approx, n)
+	clear(s.approx)
+	s.used = resize(s.used, len(g.Nodes))
+	clear(s.used)
+	s.gamma = resize(s.gamma, len(p.Source.Vars))
+	for i := range s.gamma {
+		s.gamma[i] = expr.Unbound
 	}
-	if cap(s.used) >= len(g.Nodes) {
-		s.used = s.used[:len(g.Nodes)]
-		for i := range s.used {
-			s.used[i] = false
-		}
-	} else {
-		s.used = make([]bool, len(g.Nodes))
-	}
-	if s.gamma == nil {
-		s.gamma = map[string]string{}
-	} else {
-		clear(s.gamma)
-	}
-	if s.ranGamma == nil {
-		s.ranGamma = map[string]bool{}
-	} else {
-		clear(s.ranGamma)
+	s.frames = resize(s.frames, n)
+	if ntok := s.ix.NumTokens(); len(s.stamp) < ntok {
+		s.stamp = make([]uint32, ntok)
 	}
 	if s.seen == nil || len(s.seen) > maxRetainedSeen {
 		s.seen = map[string]bool{}
 	} else {
 		clear(s.seen)
 	}
-	s.steps, s.backtracks = 0, 0
+	s.steps, s.backtracks, s.gammaTries = 0, 0, 0
 	s.cancelled = false
 	s.out = nil
+}
+
+// resize returns buf with length n, reusing its capacity when it can.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // release drops every reference that could pin a pattern, a graph or the
 // returned embeddings, then returns the searcher to the pool.
 func (s *searcher) release() {
-	s.p, s.g = nil, nil
+	s.p, s.g, s.ix = nil, nil, nil
 	s.opts = Options{}
 	s.out = nil
+	for i := range s.linked {
+		s.linked[i].Reset()
+	}
+	if len(s.stamp) > maxRetainedTokens {
+		s.stamp = nil
+		s.frames = nil
+	}
 	searcherPool.Put(s)
+}
+
+// link binds every pattern node's r and r̂ to the graph's token table, once
+// per search.
+func (s *searcher) link() {
+	s.linked = resize(s.linked, 2*len(s.p.Nodes))
+	for i, u := range s.p.Nodes {
+		u.ExactT.Link(s.g, &s.linked[2*i])
+		u.ApproxT.Link(s.g, &s.linked[2*i+1])
+	}
 }
 
 // nodeReq is the structural admission test for one pattern node, derived
@@ -420,18 +455,12 @@ func (s *searcher) nodeReq(i int) nodeReq {
 // neighborhood cannot satisfy the pattern node's edges, and tests constant
 // templates up front. NoPrefilter falls back to the paper's plain typed scan.
 func (s *searcher) computeSearchSpace() {
-	n := len(s.p.Nodes)
-	if cap(s.phi) >= n {
-		s.phi = s.phi[:n]
-	} else {
-		s.phi = make([][]int, n)
-	}
+	s.phi = resize(s.phi, len(s.p.Nodes))
 	prefilter := !s.opts.NoPrefilter
 	var ix *pdg.Index
 	if prefilter {
-		ix = s.g.Index()
+		ix = s.ix
 	}
-	emptyGamma := map[string]string{}
 	for i, u := range s.p.Nodes {
 		cands := s.phi[i][:0]
 		constTemplate := prefilter && len(u.Vars()) == 0
@@ -452,10 +481,15 @@ func (s *searcher) computeSearchSpace() {
 				}
 			}
 			if constTemplate {
-				if !u.ExactT.Match(emptyGamma, v.Renderings()) &&
-					!u.ApproxT.Match(emptyGamma, v.Renderings()) {
+				s.gammaTries++
+				if s.linked[2*i].Match(s.gamma, v.ID) {
+					return true
+				}
+				if u.ApproxT.Empty() {
 					return false
 				}
+				s.gammaTries++
+				return s.linked[2*i+1].Match(s.gamma, v.ID)
 			}
 			return true
 		}
@@ -491,7 +525,9 @@ func (s *searcher) computeOrder() {
 		}
 		return
 	}
-	chosen := make([]bool, n)
+	s.chosen = resize(s.chosen, n)
+	chosen := s.chosen
+	clear(chosen)
 	adjacent := func(i int) bool {
 		for _, e := range s.p.Out(i) {
 			if chosen[e.To] {
@@ -526,28 +562,16 @@ func (s *searcher) computeOrder() {
 }
 
 func (s *searcher) search(depth int) {
-	if s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= s.opts.maxSteps() {
+	if s.stop() {
 		return
 	}
 	if depth == len(s.p.Nodes) {
-		e := Embedding{
-			Pattern: s.p,
-			Iota:    append([]int(nil), s.iota...),
-			Gamma:   make(map[string]string, len(s.gamma)),
-			Approx:  append([]bool(nil), s.approx...),
-		}
-		for k, v := range s.gamma {
-			e.Gamma[k] = v
-		}
-		s.keyBuf = e.AppendKey(s.keyBuf[:0])
-		if !s.seen[string(s.keyBuf)] {
-			s.seen[string(s.keyBuf)] = true
-			s.out = append(s.out, e)
-		}
+		s.emit()
 		return
 	}
 	ui := s.order[depth]
 	u := s.p.Nodes[ui]
+	f := &s.frames[depth]
 	for _, vid := range s.phi[ui] {
 		if s.used[vid] {
 			continue
@@ -568,50 +592,28 @@ func (s *searcher) search(depth int) {
 			s.backtracks++
 			continue
 		}
-		v := s.g.Node(vid)
 		s.iota[ui] = vid
 		s.used[vid] = true
 
 		// Variable matching: fresh template variables X map injectively into
-		// the fresh variables Y of the graph node (Algorithm 1 lines 16-19;
-		// see expr.Injections for the |X| ≤ |Y| generalization). Exact
-		// matches take priority; only when no variable assignment satisfies
-		// r do we try r̂, and then only r̂'s own variables (the Y ⊆ X of
-		// Definition 4) are bound — an approximate match must not conjure
-		// bindings for variables it says nothing about.
-		var ys []string
-		for _, y := range v.Vars {
-			if !s.ranGamma[y] {
-				ys = append(ys, y)
+		// the variables Y of the graph node outside γ's range (Algorithm 1
+		// lines 16-19, generalized to |X| ≤ |Y|: the paper's own example,
+		// pattern node u5 over graph node v7, which mentions the extra
+		// variable odd, needs it). Exact matches take priority; only when no
+		// variable assignment satisfies r do we try r̂, and then only r̂'s
+		// own variables (the Y ⊆ X of Definition 4) are bound — an
+		// approximate match must not conjure bindings for variables it says
+		// nothing about.
+		f.ys = f.ys[:0]
+		for _, y := range s.ix.VarTokens(vid) {
+			if !s.inRange(y) {
+				f.ys = append(f.ys, y)
 			}
 		}
-		matchedExact := false
-		for _, z := range expr.Injections(s.fresh(u.ExactT.Vars()), ys) {
-			s.bind(z)
-			if u.ExactT.Match(s.gamma, v.Renderings()) {
-				matchedExact = true
-				s.approx[ui] = false
-				s.search(depth + 1)
-			}
-			s.unbind(z)
-			if s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= s.opts.maxSteps() {
-				break
-			}
-		}
+		matchedExact := s.tryGammas(depth, ui, u.ExactT, &s.linked[2*ui], false)
 		matchedApprox := false
 		if !matchedExact && !u.ApproxT.Empty() && !s.cancelled {
-			for _, z := range expr.Injections(s.fresh(u.ApproxT.Vars()), ys) {
-				s.bind(z)
-				if u.ApproxT.Match(s.gamma, v.Renderings()) {
-					matchedApprox = true
-					s.approx[ui] = true
-					s.search(depth + 1)
-				}
-				s.unbind(z)
-				if s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= s.opts.maxSteps() {
-					break
-				}
-			}
+			matchedApprox = s.tryGammas(depth, ui, u.ApproxT, &s.linked[2*ui+1], true)
 		}
 		if !matchedExact && !matchedApprox {
 			s.backtracks++
@@ -625,29 +627,124 @@ func (s *searcher) search(depth int) {
 	}
 }
 
-// fresh filters pattern variables down to the ones not yet bound in γ.
-func (s *searcher) fresh(vars []string) []string {
-	var out []string
-	for _, x := range vars {
-		if _, bound := s.gamma[x]; !bound {
-			out = append(out, x)
+// stop reports whether the search must end: cancelled, or a cap reached.
+func (s *searcher) stop() bool {
+	return s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= s.opts.maxSteps()
+}
+
+// emit records the complete embedding in ι and γ unless an identical one
+// was found before. The γ map is built here, once per new embedding.
+func (s *searcher) emit() {
+	s.keyBuf = s.keyBuf[:0]
+	for _, v := range s.iota {
+		s.keyBuf = binary.LittleEndian.AppendUint32(s.keyBuf, uint32(v))
+	}
+	for _, y := range s.gamma {
+		s.keyBuf = binary.LittleEndian.AppendUint32(s.keyBuf, uint32(y))
+	}
+	if s.seen[string(s.keyBuf)] {
+		return
+	}
+	s.seen[string(s.keyBuf)] = true
+	e := Embedding{
+		Pattern: s.p,
+		Iota:    append([]int(nil), s.iota...),
+		Gamma:   make(map[string]string, len(s.gamma)),
+		Approx:  append([]bool(nil), s.approx...),
+	}
+	for k, y := range s.gamma {
+		if y != expr.Unbound {
+			e.Gamma[s.p.Source.Vars[k]] = s.ix.Token(y)
 		}
 	}
-	return out
+	s.out = append(s.out, e)
 }
 
-func (s *searcher) bind(z map[string]string) {
-	for k, val := range z {
-		s.gamma[k] = val
-		s.ranGamma[val] = true
+// inRange reports whether submission variable y is already bound in γ.
+func (s *searcher) inRange(y int32) bool {
+	for _, g := range s.gamma {
+		if g == y {
+			return true
+		}
 	}
+	return false
 }
 
-func (s *searcher) unbind(z map[string]string) {
-	for k, val := range z {
-		delete(s.gamma, k)
-		delete(s.ranGamma, val)
+// tryGammas enumerates the injections of t's fresh variables into the
+// frame's candidates in Combinations(X, Y) order (variables in template
+// order, candidates in node order), skipping candidates that l.SlotTokens
+// rules out, and continues the search under every γ for which l matches
+// the node bound to pattern node ui. It reports whether any γ matched.
+func (s *searcher) tryGammas(depth, ui int, t *expr.Template, l *expr.Linked, approx bool) bool {
+	f := &s.frames[depth]
+	f.xs = f.xs[:0]
+	for _, k := range t.Slots() {
+		if s.gamma[k] == expr.Unbound {
+			f.xs = append(f.xs, k)
+		}
 	}
+	if len(f.xs) > len(f.ys) || l.Empty() {
+		return false
+	}
+	vid := s.iota[ui]
+	f.cands, f.ends = f.cands[:0], f.ends[:0]
+	for _, k := range f.xs {
+		var narrowed bool
+		f.toks, narrowed = l.SlotTokens(f.toks[:0], vid, k)
+		if narrowed {
+			s.gen++
+			if s.gen == 0 {
+				clear(s.stamp)
+				s.gen = 1
+			}
+			for _, t := range f.toks {
+				s.stamp[t] = s.gen
+			}
+		}
+		for j, y := range f.ys {
+			if !narrowed || s.stamp[y] == s.gen {
+				f.cands = append(f.cands, int32(j))
+			}
+		}
+		f.ends = append(f.ends, len(f.cands))
+	}
+	f.taken = resize(f.taken, len(f.ys))
+	clear(f.taken)
+	matched := false
+	s.assign(f, 0, ui, depth, l, approx, &matched)
+	return matched
+}
+
+// assign binds f.xs[i:] one by one and tests each complete γ. It reports
+// whether the enumeration must stop (see searcher.stop).
+func (s *searcher) assign(f *frame, i, ui, depth int, l *expr.Linked, approx bool, matched *bool) bool {
+	if i == len(f.xs) {
+		s.gammaTries++
+		if l.Match(s.gamma, s.iota[ui]) {
+			*matched = true
+			s.approx[ui] = approx
+			s.search(depth + 1)
+		}
+		return s.stop()
+	}
+	start := 0
+	if i > 0 {
+		start = f.ends[i-1]
+	}
+	for _, j := range f.cands[start:f.ends[i]] {
+		if f.taken[j] {
+			continue
+		}
+		f.taken[j] = true
+		s.gamma[f.xs[i]] = f.ys[j]
+		stop := s.assign(f, i+1, ui, depth, l, approx, matched)
+		s.gamma[f.xs[i]] = expr.Unbound
+		f.taken[j] = false
+		if stop {
+			return true
+		}
+	}
+	return false
 }
 
 // edgesHold checks Condition 2 of Definition 7 against the already-matched

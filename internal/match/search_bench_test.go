@@ -1,6 +1,7 @@
 package match_test
 
 import (
+	"sync"
 	"testing"
 
 	"semfeed/internal/assignments"
@@ -98,6 +99,74 @@ func BenchmarkMatcherColdGraphs(b *testing.B) {
 			g := graphs[m.Name]
 			for _, use := range m.Patterns {
 				match.FindOpts(use.Pattern, g, match.Options{})
+			}
+		}
+	}
+}
+
+// TestMatcherAllocs gates the matcher's allocations: one matcherWorkload
+// sweep over warm graphs may allocate at most a fifth of the 4,457 times
+// it did before template matching moved to per-graph token IDs. It is a
+// ceiling, not a pin, because Go releases allocate differently for maps.
+func TestMatcherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const ceiling = 891
+	pairs := matcherWorkload(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, pr := range pairs {
+			match.FindOpts(pr.p, pr.g, match.Options{})
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("%.0f allocations per matcherWorkload sweep, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.0f allocations per sweep of %d pattern/graph pairs", allocs, len(pairs))
+}
+
+// TestSharedGraphConcurrentFind runs every pattern from several goroutines
+// over one graph whose index (and token table) no goroutine has built yet,
+// as the batch engine shares a submission's graphs. Every goroutine must
+// get the embeddings a separately built copy of the graph gives. Run it
+// under -race.
+func TestSharedGraphConcurrentFind(t *testing.T) {
+	const workers = 4
+	src := assignments.Get("assignment1").Reference()
+	build := func() *pdg.Graph {
+		unit, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pdg.BuildAll(unit)["assignment1"]
+	}
+	patterns := referencePatterns()
+	want := make([][]match.Embedding, len(patterns))
+	ref := build()
+	for i, p := range patterns {
+		want[i] = match.Find(p, ref)
+	}
+	shared := build()
+	got := make([][][]match.Embedding, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each goroutine starts at a different pattern, so the first
+			// searches (and index builds) overlap on different patterns.
+			got[w] = make([][]match.Embedding, len(patterns))
+			for k := range patterns {
+				i := (k + w) % len(patterns)
+				got[w][i] = match.Find(patterns[i], shared)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i, p := range patterns {
+			if diff := sameEmbeddings(got[w][i], want[i]); diff != "" {
+				t.Errorf("goroutine %d, pattern %s: %s", w, p.Name(), diff)
 			}
 		}
 	}

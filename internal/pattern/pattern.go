@@ -71,18 +71,10 @@ func (n *CompiledNode) Crucial() bool {
 	return n.ApproxT.Empty() && n.Feedback.Incorrect == ""
 }
 
-// Vars returns the pattern variables mentioned by the node's templates.
-func (n *CompiledNode) Vars() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range append(append([]string{}, n.ExactT.Vars()...), n.ApproxT.Vars()...) {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// Vars returns the pattern variables mentioned by the node's templates:
+// r's, since Compile checks that r̂'s are among them (Definition 4). The
+// slice is shared — callers must not modify it.
+func (n *CompiledNode) Vars() []string { return n.ExactT.Vars() }
 
 // CompiledEdge is an edge with node indexes and a resolved type.
 type CompiledEdge struct {

@@ -144,10 +144,24 @@ type Node struct {
 	// WeakDef marks a non-killing definition (array element or field writes:
 	// a[i] = e updates part of a, so earlier definitions of a survive).
 	WeakDef bool
+
+	// rend caches Renderings once the node is in a graph (see AddNode); one
+	// backs it for a node without alternatives.
+	rend []string
+	one  [1]string
 }
 
 // Renderings returns the canonical content followed by any alternatives.
+// For a node in a graph the slice is computed once, when the node is added,
+// and shared: callers must not modify it.
 func (n *Node) Renderings() []string {
+	if n.rend != nil {
+		return n.rend
+	}
+	return n.renderings()
+}
+
+func (n *Node) renderings() []string {
 	out := make([]string, 0, 1+len(n.Alts))
 	out = append(out, n.Content)
 	return append(out, n.Alts...)
@@ -193,9 +207,16 @@ func NewGraph(method string) *Graph {
 	}
 }
 
-// AddNode appends a node, assigning it the next ID, and returns it.
+// AddNode appends a node, assigning it the next ID, and returns it. The
+// node's Content and Alts must be final: its renderings are fixed here.
 func (g *Graph) AddNode(n *Node) *Node {
 	n.ID = len(g.Nodes)
+	if len(n.Alts) == 0 {
+		n.one[0] = n.Content
+		n.rend = n.one[:]
+	} else {
+		n.rend = n.renderings()
+	}
 	g.Nodes = append(g.Nodes, n)
 	g.idx.Store(nil)
 	return n

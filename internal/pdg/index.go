@@ -1,11 +1,20 @@
 package pdg
 
+import "semfeed/internal/java/pretty"
+
 // The candidate index groups a graph's nodes by type and precomputes, for
 // every node, its typed in/out degrees and a neighbor-connectivity mask. The
 // subgraph matcher (Algorithm 1) uses it to build its search space Φ without
 // scanning every node for every pattern node, and to reject candidates that
 // cannot possibly satisfy a pattern's edge structure before the backtracking
 // search ever touches them.
+//
+// The index also holds the graph's token table: every rendering of every
+// node split once into pretty.Tokens and interned as int32 token IDs, plus
+// each node's variable names. Definition 6's r ⪯γ c is a contiguous
+// token-run test, so template matching compares IDs and never re-tokenizes a
+// rendering. IDs are per graph: the table lives and dies with its graph, so
+// no process-wide table grows with the tokens students write.
 //
 // The index is built lazily on first use and cached on the graph; any later
 // mutation through AddNode/AddEdge invalidates it. Concurrent Index calls may
@@ -15,12 +24,19 @@ package pdg
 
 const numNodeTypes = len(nodeTypeNames)
 
-// Index is the per-graph candidate index consumed by the matcher.
+// Index is the per-graph candidate index and token table consumed by the
+// matcher.
 type Index struct {
 	byType [numNodeTypes][]int // node IDs per node type, ascending
 	outDeg [][2]uint16         // per node ID, typed outgoing degree (EdgeType-indexed)
 	inDeg  [][2]uint16         // per node ID, typed incoming degree
 	nbrs   []uint32            // per node ID, neighbor-connectivity mask
+
+	tokenIDs map[string]int32 // token text -> ID
+	tokens   []string         // ID -> token text
+	rend     [][]int32        // token IDs of every rendering, node by node
+	vars     []int32          // token IDs of every node's Vars, node by node
+	nodeAt   [][2]int32       // per node ID, its first index into rend and vars
 }
 
 // NeighborBit returns the mask bit recording "has an edge of type et, in the
@@ -63,7 +79,58 @@ func (g *Graph) buildIndex() *Index {
 		ix.nbrs[e.From] |= NeighborBit(true, e.Type, g.Nodes[e.To].Type)
 		ix.nbrs[e.To] |= NeighborBit(false, e.Type, g.Nodes[e.From].Type)
 	}
+	ix.buildTokens(g)
 	return ix
+}
+
+// buildTokens fills the token table. All renderings' IDs share one backing
+// array, sliced per rendering once every rendering is tokenized.
+func (ix *Index) buildTokens(g *Graph) {
+	nrend, nvars, bytes := 0, 0, 0
+	for _, n := range g.Nodes {
+		for _, r := range n.Renderings() {
+			bytes += len(r)
+		}
+		nrend += 1 + len(n.Alts)
+		nvars += len(n.Vars)
+	}
+	// Canonical renderings average over two bytes per token, and about a
+	// third of a graph's tokens are distinct.
+	ids := make([]int32, 0, bytes/2+nvars)
+	ix.tokenIDs = make(map[string]int32, bytes/8)
+	ix.tokens = make([]string, 0, bytes/8)
+	ends := make([]int32, 0, nrend)
+	ix.vars = make([]int32, 0, nvars)
+	ix.nodeAt = make([][2]int32, len(g.Nodes)+1)
+	for i, n := range g.Nodes {
+		ix.nodeAt[i] = [2]int32{int32(len(ends)), int32(len(ix.vars))}
+		for _, r := range n.Renderings() {
+			for tok, j := pretty.NextToken(r, 0); tok != ""; tok, j = pretty.NextToken(r, j) {
+				ids = append(ids, ix.intern(tok))
+			}
+			ends = append(ends, int32(len(ids)))
+		}
+		for _, v := range n.Vars {
+			ix.vars = append(ix.vars, ix.intern(v))
+		}
+	}
+	ix.nodeAt[len(g.Nodes)] = [2]int32{int32(len(ends)), int32(len(ix.vars))}
+	ix.rend = make([][]int32, len(ends))
+	start := int32(0)
+	for i, end := range ends {
+		ix.rend[i] = ids[start:end:end]
+		start = end
+	}
+}
+
+func (ix *Index) intern(tok string) int32 {
+	if id, ok := ix.tokenIDs[tok]; ok {
+		return id
+	}
+	id := int32(len(ix.tokens))
+	ix.tokenIDs[tok] = id
+	ix.tokens = append(ix.tokens, tok)
+	return id
 }
 
 // Candidates returns the IDs of all nodes with the given type, ascending.
@@ -83,3 +150,30 @@ func (ix *Index) InDegree(id int, t EdgeType) int { return int(ix.inDeg[id][t]) 
 
 // NeighborMask returns node id's neighbor-connectivity mask (see NeighborBit).
 func (ix *Index) NeighborMask(id int) uint32 { return ix.nbrs[id] }
+
+// TokenID returns the ID of a token or variable name of the graph, and false
+// if no rendering and no variable of the graph is that string.
+func (ix *Index) TokenID(s string) (int32, bool) {
+	id, ok := ix.tokenIDs[s]
+	return id, ok
+}
+
+// Token returns the text of a token ID.
+func (ix *Index) Token(id int32) string { return ix.tokens[id] }
+
+// NumTokens returns the number of distinct tokens and variable names in the
+// graph; IDs run from 0 to NumTokens()-1.
+func (ix *Index) NumTokens() int { return len(ix.tokens) }
+
+// RenderingTokens returns the token IDs of each of node id's renderings, in
+// Node.Renderings order. The slices are shared — callers must not modify
+// them.
+func (ix *Index) RenderingTokens(id int) [][]int32 {
+	return ix.rend[ix.nodeAt[id][0]:ix.nodeAt[id+1][0]]
+}
+
+// VarTokens returns the token IDs of node id's Vars, in order. The slice is
+// shared — callers must not modify it.
+func (ix *Index) VarTokens(id int) []int32 {
+	return ix.vars[ix.nodeAt[id][1]:ix.nodeAt[id+1][1]]
+}

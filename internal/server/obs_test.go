@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"semfeed/internal/assignments"
-	"semfeed/internal/core"
 	"semfeed/internal/obs"
 )
 
@@ -103,7 +103,7 @@ func TestRequestIDEcho(t *testing.T) {
 
 // TestGradeCorrelation is the end-to-end correlation contract: one graded
 // request yields the same ID in the X-Request-ID header, the structured
-// "grade" log line, Report.Stats.request_id, and a retrievable
+// "grade" log line, and a retrievable
 // /v1/trace/{id} entry (forced tail retention via a zero slow threshold).
 func TestGradeCorrelation(t *testing.T) {
 	withObs(t)
@@ -129,17 +129,10 @@ func TestGradeCorrelation(t *testing.T) {
 		t.Fatal("no X-Request-ID on the grade response")
 	}
 
-	// 1. The report's stats carry the ID.
-	var gr GradeResponse
-	if err := json.Unmarshal(body, &gr); err != nil {
-		t.Fatal(err)
-	}
-	var report core.Report
-	if err := json.Unmarshal(gr.Report, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Stats == nil || report.Stats.RequestID != rid {
-		t.Errorf("Report.Stats.RequestID = %q, want %q", report.Stats.RequestID, rid)
+	// 1. The reply body does not: the report is stored and served to later
+	// requests, so it must not depend on this one.
+	if bytes.Contains(body, []byte(rid)) {
+		t.Errorf("grade reply carries request ID %q: %s", rid, body)
 	}
 
 	// 2. The grade log line carries the ID.
@@ -186,6 +179,52 @@ func TestGradeCorrelation(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "trace "+rid) || !strings.Contains(sb.String(), "grade/assignment1") {
 		t.Errorf("text trace malformed:\n%s", sb.String())
+	}
+}
+
+// TestStoredReportHasNoRequestID: the same source posted under two request
+// IDs is graded once and served from the store once. Each reply's
+// X-Request-ID header carries its own request's ID, and neither body
+// carries one, so the stored bytes are the same for every request that
+// reads them.
+func TestStoredReportHasNoRequestID(t *testing.T) {
+	srv := New(Config{Registry: testRegistry(t)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body, err := json.Marshal(GradeRequest{Assignment: "assignment1", Source: assignments.Get("assignment1").Reference()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replies [2]GradeResponse
+	for i, rid := range []string{"aaaa1111", "bbbb2222"} {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/grade", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", rid)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %d: status %d: %s", i+1, resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("X-Request-ID"); got != rid {
+			t.Errorf("POST %d: X-Request-ID %q, want %q", i+1, got, rid)
+		}
+		if bytes.Contains(raw, []byte("request_id")) {
+			t.Errorf("POST %d: reply carries a request ID: %s", i+1, raw)
+		}
+		if err := json.Unmarshal(raw, &replies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replies[0].Cached || !replies[1].Cached {
+		t.Errorf("cached = %v, %v; want a miss then a hit", replies[0].Cached, replies[1].Cached)
+	}
+	if !bytes.Equal(replies[0].Report, replies[1].Report) {
+		t.Errorf("the stored report differs from the graded one:\n%s\n%s", replies[0].Report, replies[1].Report)
 	}
 }
 

@@ -453,7 +453,7 @@ func (s *Server) handleGrade(w http.ResponseWriter, req *http.Request) {
 			"elapsed_ms", float64(time.Since(t0).Microseconds())/1000)
 		return
 	}
-	body, err := json.Marshal(report)
+	body, err := marshalReport(report)
 	if err != nil {
 		obs.ServerErrorsTotal.Inc()
 		s.fail(w, http.StatusInternalServerError, "encode report: "+err.Error())
@@ -535,7 +535,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 				resp.Results[i].Error = res.Err.Error()
 				continue
 			}
-			body, err := json.Marshal(res.Report)
+			body, err := marshalReport(res.Report)
 			if err != nil {
 				resp.Results[i].Error = "encode report: " + err.Error()
 				continue
@@ -558,6 +558,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		"cancelled", resp.Cancelled,
 		"cache_hits", resp.CacheHits,
 		"elapsed_ms", resp.WallMS)
+}
+
+// marshalReport encodes a report for the reply and the result store. The
+// grader stamps the request's ID into Stats; it is cleared first, so the
+// stored bytes do not depend on which request graded them and a store hit
+// never hands back another request's ID. Each reply's own ID is in its
+// X-Request-ID header; the body carries none, so a hit's bytes are the
+// bytes of the reply that stored it.
+func marshalReport(report *core.Report) ([]byte, error) {
+	if report.Stats != nil {
+		report.Stats.RequestID = ""
+	}
+	return json.Marshal(report)
 }
 
 // ---------------------------------------------------------------------------

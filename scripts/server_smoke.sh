@@ -65,8 +65,9 @@ echo "${RESP}" | grep -q '"id":"smoke-1"' || fail "submission ID not echoed: ${R
 echo "== request-ID correlation"
 RID="$(grep -i '^x-request-id:' "${WORK}/headers" | tr -d '\r' | awk '{print $2}')"
 [ -n "${RID}" ] || fail "no X-Request-ID response header"
-echo "${RESP}" | grep -q "\"request_id\":\"${RID}\"" \
-  || fail "Report.Stats does not carry request ID ${RID}: ${RESP}"
+if echo "${RESP}" | grep -q '"request_id"'; then
+  fail "grade reply carries a request ID; stored reports must not depend on the request: ${RESP}"
+fi
 grep -q "\"msg\":\"grade\"" "${LOG}" || fail "no structured grade log line"
 grep -q "\"request_id\":\"${RID}\"" "${LOG}" \
   || fail "grade log line does not carry request ID ${RID}"
