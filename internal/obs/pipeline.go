@@ -97,7 +97,7 @@ var (
 	StoreDiskBytes           = NewGauge("semfeed_store_disk_bytes", "Bytes of result bodies held by the disk result store.")
 	StoreDiskEvictionsTotal  = NewCounter("semfeed_store_disk_evictions_total", "Disk-store entries evicted by the size cap.")
 	StoreStaleEvictionsTotal = NewCounter("semfeed_store_stale_evictions_total", "Disk-store entries dropped on startup because their KB version no longer matches the registry.")
-	StorePeerErrorsTotal     = NewCounter("semfeed_store_peer_errors_total", "Peer-store HTTP operations that failed in transport.")
+	StorePeerErrorsTotal     = NewCounter("semfeed_store_peer_errors_total", "Peer-store fills that failed in transport or returned a body that is not JSON.")
 
 	// Cluster mode (internal/cluster, semfeedd -mode coordinator|worker).
 	ClusterWorkers              = NewGauge("semfeed_cluster_workers", "Healthy workers in the coordinator's routing ring.")

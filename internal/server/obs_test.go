@@ -16,6 +16,7 @@ import (
 
 	"semfeed/internal/assignments"
 	"semfeed/internal/obs"
+	"semfeed/internal/store"
 )
 
 // withObs turns on metrics and tracing for one test and cleans up after.
@@ -118,8 +119,9 @@ func TestGradeCorrelation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	src := assignments.Get("assignment1").Reference()
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{
-		Assignment: "assignment1", ID: "sub-1", Source: assignments.Get("assignment1").Reference(),
+		Assignment: "assignment1", ID: "sub-1", Source: src,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -147,6 +149,9 @@ func TestGradeCorrelation(t *testing.T) {
 		if _, ok := grade[k]; !ok {
 			t.Errorf("grade log line missing %q: %v", k, grade)
 		}
+	}
+	if want := store.SourceHash(src)[:16]; grade["source_hash"] != want {
+		t.Errorf("grade log source_hash = %v, want %q (the store key's prefix)", grade["source_hash"], want)
 	}
 
 	// 3. The trace is retrievable by the same ID.

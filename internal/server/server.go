@@ -10,8 +10,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -178,13 +177,6 @@ func (s *Server) log() *slog.Logger {
 	return obs.Logger()
 }
 
-// sourceHash is the short submission digest used in log lines: enough to join
-// a grade event against a cache key or a resubmission, without logging source.
-func sourceHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
-}
-
 // Handler returns the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.handler }
 
@@ -267,13 +259,25 @@ type GradeRequest struct {
 	Source string `json:"source"`
 }
 
-// GradeResponse is the body of a successful POST /v1/grade.
+// GradeResponse is the body of a successful POST /v1/grade. The handler does
+// not encode this type: it splices the report bytes, as stored, after the
+// JSON of the first four fields (writeGradeReply). TestGradeReplyBytes holds
+// the spliced reply to this type's json.Encoder encoding, byte for byte.
 type GradeResponse struct {
 	Assignment string          `json:"assignment"`
 	ID         string          `json:"id,omitempty"`
 	KBVersion  string          `json:"kb_version"`
 	Cached     bool            `json:"cached"`
 	Report     json.RawMessage `json:"report"`
+}
+
+// gradeHead is GradeResponse without its report: the same fields, in the
+// same order, with the same tags.
+type gradeHead struct {
+	Assignment string `json:"assignment"`
+	ID         string `json:"id,omitempty"`
+	KBVersion  string `json:"kb_version"`
+	Cached     bool   `json:"cached"`
 }
 
 // BatchRequest is the body of POST /v1/batch.
@@ -412,17 +416,19 @@ func (s *Server) handleGrade(w http.ResponseWriter, req *http.Request) {
 	obs.ServerRequestsTotal.Inc()
 
 	rid := obs.RequestIDFrom(req.Context())
-	hash := sourceHash(greq.Source)
+	key := store.NewKey(entry.ID, entry.Version, greq.Source)
+	// The log's short digest joins a grade event to its store key or a
+	// resubmission without logging source.
+	hash := key.SourceHash[:16]
+	head := gradeHead{Assignment: entry.ID, ID: greq.ID, KBVersion: entry.Version}
 
 	// Cache hits bypass admission entirely: serving bytes from the result
 	// store needs no grading slot, which is what keeps resubmission storms
 	// cheap.
-	key := store.NewKey(entry.ID, entry.Version, greq.Source)
 	if body, hit := s.storeGet(key); hit {
 		obs.ServerCacheHitsTotal.Inc()
-		writeJSON(w, http.StatusOK, GradeResponse{
-			Assignment: entry.ID, ID: greq.ID, KBVersion: entry.Version, Cached: true, Report: body,
-		})
+		head.Cached = true
+		writeGradeReply(w, head, body)
 		s.log().Info("grade",
 			"request_id", rid,
 			"assignment", entry.ID,
@@ -460,9 +466,7 @@ func (s *Server) handleGrade(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.storePut(key, body)
-	writeJSON(w, http.StatusOK, GradeResponse{
-		Assignment: entry.ID, ID: greq.ID, KBVersion: entry.Version, Cached: false, Report: body,
-	})
+	writeGradeReply(w, head, body)
 	s.log().Info("grade",
 		"request_id", rid,
 		"assignment", entry.ID,
@@ -654,6 +658,34 @@ func (s *Server) gradeError(w http.ResponseWriter, err error) {
 
 func (s *Server) fail(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
+}
+
+// The fixed pieces writeGradeReply puts around the report bytes.
+var (
+	reportField = []byte(`,"report":`)
+	replyEnd    = []byte("}\n")
+)
+
+// writeGradeReply writes a 200 /v1/grade reply: head's JSON with report
+// spliced in, as it is, as the last field. report must be JSON; the stores
+// check bodies where they enter the process. It is also compact and
+// HTML-escaped (marshalReport's output), so json.Encoder's re-scan would
+// leave it unchanged and the reply equals the GradeResponse's encoding. The
+// exact Content-Length keeps a reply past net/http's pre-chunking buffer
+// from being sent chunked.
+func writeGradeReply(w http.ResponseWriter, head gradeHead, report []byte) {
+	// Marshalling strings and a bool cannot fail.
+	h, _ := json.Marshal(head)
+	h = h[:len(h)-1] // the closing brace follows the report
+	n := len(h) + len(reportField) + len(report) + len(replyEnd)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	// Write errors mean the client has gone; there is no one left to tell.
+	_, _ = w.Write(h)
+	_, _ = w.Write(reportField)
+	_, _ = w.Write(report)
+	_, _ = w.Write(replyEnd)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -20,7 +20,7 @@ import (
 )
 
 // testRegistry returns a registry serving the built-in assignment1.
-func testRegistry(t *testing.T) *Registry {
+func testRegistry(t testing.TB) *Registry {
 	t.Helper()
 	a := assignments.Get("assignment1")
 	if a == nil {

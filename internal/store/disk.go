@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
@@ -114,8 +115,9 @@ func (d *Disk) pathFor(k Key) string {
 }
 
 // Get reads the entry's file and promotes it in the eviction order. A file
-// that vanished or fails to read is dropped from the index — the store heals
-// around external deletion rather than erroring.
+// that vanished, fails to read or is not valid JSON (torn or overwritten
+// outside the store) is dropped from the index — the store heals around
+// external damage rather than erroring, and the caller regrades.
 func (d *Disk) Get(k Key) ([]byte, bool) {
 	d.mu.Lock()
 	el, ok := d.entries[k.String()]
@@ -128,7 +130,7 @@ func (d *Disk) Get(k Key) ([]byte, bool) {
 	d.mu.Unlock()
 
 	body, err := os.ReadFile(it.path)
-	if err != nil {
+	if err != nil || !json.Valid(body) {
 		d.mu.Lock()
 		d.dropLocked(k.String())
 		d.publishGauges()

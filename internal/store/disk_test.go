@@ -1,10 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -36,12 +37,12 @@ func TestDiskPutGetAcrossReopen(t *testing.T) {
 
 func TestDiskSizeCapEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
-	// Cap fits three 100-byte bodies.
+	// Cap fits three 100-byte bodies (a JSON string of 98 x's).
 	d, err := NewDisk(dir, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := bytes.Repeat([]byte("x"), 100)
+	body := []byte(`"` + strings.Repeat("x", 98) + `"`)
 	for i := 0; i < 5; i++ {
 		d.Put(NewKey("a", "v", fmt.Sprintf("s%d", i)), body)
 	}
@@ -71,7 +72,7 @@ func TestDiskCrashArtifactsCleaned(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := NewKey("a", "v", "src")
-	d.Put(key, []byte("good"))
+	d.Put(key, []byte(`"good"`))
 
 	// Simulate a crash mid-write: a temp file next to a real entry, plus a
 	// stray file whose name is not a key.
@@ -96,7 +97,7 @@ func TestDiskCrashArtifactsCleaned(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "garbage.txt")); !os.IsNotExist(err) {
 		t.Fatal("stray file survived the reopen sweep")
 	}
-	if body, ok := d2.Get(key); !ok || string(body) != "good" {
+	if body, ok := d2.Get(key); !ok || string(body) != `"good"` {
 		t.Fatalf("real entry lost: %q, %v", body, ok)
 	}
 }
@@ -116,7 +117,7 @@ func TestDiskValidateDropsStaleKBVersions(t *testing.T) {
 	for _, e := range []struct {
 		k Key
 		b string
-	}{{fresh, "fresh"}, {stale, "stale"}, {gone, "gone"}} {
+	}{{fresh, `"fresh"`}, {stale, `"stale"`}, {gone, `"gone"`}} {
 		d.Put(e.k, []byte(e.b))
 	}
 
@@ -131,7 +132,7 @@ func TestDiskValidateDropsStaleKBVersions(t *testing.T) {
 	if _, ok := d.Get(gone); ok {
 		t.Fatal("removed assignment served after Validate")
 	}
-	if body, ok := d.Get(fresh); !ok || string(body) != "fresh" {
+	if body, ok := d.Get(fresh); !ok || string(body) != `"fresh"` {
 		t.Fatalf("current entry lost: %q, %v", body, ok)
 	}
 
@@ -153,10 +154,34 @@ func TestDiskConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := NewKey("a", "v", fmt.Sprintf("%d-%d", g, i%10))
-				d.Put(key, []byte{byte(i)})
+				d.Put(key, []byte(strconv.Itoa(i)))
 				d.Get(key)
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDiskDropsCorruptEntry: stored bodies are served without parsing, so a
+// file damaged outside the store (here cut short) must miss and leave the
+// index and the disk, never reach a reply.
+func TestDiskDropsCorruptEntry(t *testing.T) {
+	d, err := NewDisk(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := NewKey("a", "v", "src")
+	d.Put(key, []byte(`{"truncated":false}`))
+	if err := os.WriteFile(d.pathFor(key), []byte(`{"trunc`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if body, ok := d.Get(key); ok {
+		t.Fatalf("corrupt entry served: %q", body)
+	}
+	if d.Len() != 0 || d.Bytes() != 0 {
+		t.Fatalf("corrupt entry still indexed: Len %d, Bytes %d", d.Len(), d.Bytes())
+	}
+	if _, err := os.Stat(d.pathFor(key)); !os.IsNotExist(err) {
+		t.Fatal("corrupt entry's file survived the Get")
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"time"
@@ -43,7 +44,9 @@ func (p *Peer) Base() string { return p.base }
 
 func (p *Peer) url(k Key) string { return p.base + "/v1/store/" + k.Path() }
 
-// Get fetches k from the peer. Any transport error or non-200 is a miss.
+// Get fetches k from the peer. Any transport error or non-200 is a miss. So
+// is a body that is not JSON: it counts as a failed fill, and Tiered never
+// backfills it.
 func (p *Peer) Get(k Key) ([]byte, bool) {
 	resp, err := p.client.Get(p.url(k))
 	if err != nil {
@@ -56,7 +59,7 @@ func (p *Peer) Get(k Key) ([]byte, bool) {
 		return nil, false
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil {
+	if err != nil || !json.Valid(body) {
 		obs.StorePeerErrorsTotal.Inc()
 		return nil, false
 	}

@@ -7,6 +7,13 @@
 // single-process cache), a disk store (content-addressed files that survive
 // restarts), and an HTTP peer store (a worker serving its cache over the
 // wire). Tiered composes a local tier with a remote fill path.
+//
+// Bodies are JSON, and the grading service writes a hit into its reply
+// without parsing it again. Each backend checks the bytes where they enter
+// the process: Disk drops a file that is not valid JSON and misses, Peer
+// counts a body that is not JSON as a failed fill and misses, and Memory
+// holds only what this process put there, its own marshalled reports or a
+// fill that Peer has checked.
 package store
 
 import (

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"semfeed/internal/obs"
 )
 
 func k(a, v, src string) Key { return NewKey(a, v, src) }
@@ -137,6 +139,37 @@ func TestPeerStoreHTTP(t *testing.T) {
 	srv.Close()
 	if _, ok := p.Get(key); ok {
 		t.Fatal("Get from dead peer should miss")
+	}
+}
+
+// TestPeerRejectsNonJSON: a peer answering 200 with a body that is not JSON
+// is a failed fill. It misses, counts as a peer error, and Tiered does not
+// backfill it into the local tier.
+func TestPeerRejectsNonJSON(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		t.Cleanup(obs.Disable)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("not json"))
+	}))
+	defer srv.Close()
+
+	p := NewPeer(srv.URL, nil)
+	key := k("assignment1", "deadbeef", "src")
+	before := obs.StorePeerErrorsTotal.Value()
+	if body, ok := p.Get(key); ok {
+		t.Fatalf("non-JSON peer body served: %q", body)
+	}
+	if got := obs.StorePeerErrorsTotal.Value() - before; got != 1 {
+		t.Fatalf("peer errors rose by %d, want 1", got)
+	}
+	local := NewMemory(8)
+	if _, ok := (&Tiered{Local: local, Fallback: p}).Get(key); ok {
+		t.Fatal("Tiered served a non-JSON fill")
+	}
+	if local.Len() != 0 {
+		t.Fatal("Tiered backfilled a non-JSON fill")
 	}
 }
 
