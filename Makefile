@@ -23,14 +23,14 @@ bench:
 
 # Cheap CI guard for the perf-critical paths: compile and run the matcher,
 # batch-grading, grade-handler (store hit and miss) and interpreter
-# benchmarks once (-benchtime=1x), so benchmark rot and gross regressions
-# (panics, step-limit blowups) surface on every push without the cost of a
-# real measurement run.
+# (terminating and step-limited) benchmarks once (-benchtime=1x), so
+# benchmark rot and gross regressions (panics, step-limit blowups) surface
+# on every push without the cost of a real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcher|BenchmarkMatcherColdGraphs' -benchtime=1x ./internal/match/
 	$(GO) test -run '^$$' -bench 'BenchmarkGradeAll' -benchtime=1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkGradeHit|BenchmarkGradeMiss' -benchtime=1x ./internal/server/
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled|BenchmarkInterpTreeWalk' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled|BenchmarkInterpStepLimit|BenchmarkInterpTreeWalk' -benchtime=1x .
 
 # Regenerate Table I (sampled; raise -n for tighter D estimates).
 table:

@@ -336,7 +336,9 @@ func NewStringArray(vals ...string) Value {
 	return arr
 }
 
-// RunJava executes the entry method of src with the given arguments.
+// RunJava executes the entry method of src with the given arguments. A run
+// that fails at runtime returns its Result (output so far, steps taken, no
+// return value) next to the error; a syntax error returns none.
 func RunJava(src, entry string, args []Value, cfg RunConfig) (*interp.Result, error) {
 	unit, err := parser.Parse(src)
 	if err != nil {

@@ -97,6 +97,44 @@ func BenchmarkInterpCompiled(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpStepLimit runs, for each interpreter-heavy row, the suite
+// of the first seed-1 sample submission that never terminates, on a program
+// compiled once. Such submissions spend their whole step budget on every
+// looping case; they are most of the interpreter work of a Table I sweep.
+func BenchmarkInterpStepLimit(b *testing.B) {
+	for _, id := range interpHeavy {
+		a := assignments.Get(id)
+		b.Run(id, func(b *testing.B) {
+			prog := firstInfiniteLoop(b, a)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !a.Tests.RunProgram(prog).InfiniteLoop {
+					b.Fatal("step-limited submission terminated")
+				}
+			}
+		})
+	}
+}
+
+// firstInfiniteLoop compiles the first submission of SampleSeed(200, 1)
+// whose verdict is InfiniteLoop.
+func firstInfiniteLoop(b *testing.B, a *assignments.Assignment) *interp.Program {
+	b.Helper()
+	for _, k := range a.Synth.SampleSeed(200, 1) {
+		unit, err := parser.Parse(a.Synth.Render(k))
+		if err != nil {
+			continue
+		}
+		prog := interp.Compile(unit)
+		if a.Tests.RunProgram(prog).InfiniteLoop {
+			return prog
+		}
+	}
+	b.Fatalf("%s: no step-limited submission in the seed-1 sample", a.ID)
+	return nil
+}
+
 // BenchmarkInterpTreeWalk is the same work on the tree-walking reference
 // engine; the ratio against BenchmarkInterpCompiled is the headline speedup.
 func BenchmarkInterpTreeWalk(b *testing.B) {

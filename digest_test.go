@@ -14,6 +14,8 @@ import (
 
 	"semfeed/internal/assignments"
 	"semfeed/internal/core"
+	"semfeed/internal/interp"
+	"semfeed/internal/java/parser"
 )
 
 var updateDigest = flag.Bool("update", false, "re-record testdata/report_digest.txt")
@@ -61,6 +63,33 @@ func TestReportDigest(t *testing.T) {
 	}
 	for id := range want {
 		t.Errorf("%s: recorded digest for an unknown assignment", id)
+	}
+}
+
+// TestSampleVerdictParity runs the first 20 seed-1 sample submissions of
+// every assignment through the functional tests on the compiled engine and
+// on the tree-walking oracle; the verdicts must agree in every field,
+// failure strings and the steps of failing cases included.
+func TestSampleVerdictParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs step-limited submissions on the tree-walker")
+	}
+	for _, a := range assignments.All() {
+		for _, k := range a.Synth.SampleSeed(200, 1)[:20] {
+			unit, err := parser.Parse(a.Synth.Render(k))
+			if err != nil {
+				continue
+			}
+			got := a.Tests.RunProgram(interp.Compile(unit))
+			want := a.Tests.RunTreeWalk(unit)
+			if got.Pass != want.Pass || got.InfiniteLoop != want.InfiniteLoop || got.Cases != want.Cases || got.Steps != want.Steps {
+				t.Errorf("%s sample %d: compiled %+v, tree-walk %+v", a.ID, k, got, want)
+				continue
+			}
+			if g, w := fmt.Sprint(got.Failures), fmt.Sprint(want.Failures); g != w {
+				t.Errorf("%s sample %d: failures differ\ncompiled:  %s\ntree-walk: %s", a.ID, k, g, w)
+			}
+		}
 	}
 }
 

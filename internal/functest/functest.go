@@ -59,8 +59,9 @@ type Verdict struct {
 	// mode dynamic graders cannot distinguish from slowness.
 	InfiniteLoop bool
 	// Cases counts the test cases executed, Steps the interpreter steps they
-	// consumed across all cases: the work counters behind the functest
-	// phase's cost attribution (semfeed_phase_ns{phase="functest"}).
+	// consumed across all cases, failing cases included (a case that
+	// exhausts its budget adds MaxSteps+1): the work counters behind the
+	// functest phase's cost attribution (semfeed_phase_ns{phase="functest"}).
 	Cases int
 	Steps int
 }

@@ -5,6 +5,7 @@ import (
 
 	"semfeed/internal/functest"
 	"semfeed/internal/interp"
+	"semfeed/internal/java/parser"
 )
 
 func TestOutputEqual(t *testing.T) {
@@ -56,18 +57,30 @@ func TestSuiteRunAndFailures(t *testing.T) {
 	}
 }
 
+// TestSuiteInfiniteLoopFlag also checks that a case that exhausts its
+// budget counts every step it took, on both engines.
 func TestSuiteInfiniteLoopFlag(t *testing.T) {
 	suite := &functest.Suite{
 		Entry:    "spin",
 		MaxSteps: 5_000,
 		Cases:    []functest.Case{{Name: "x", Want: ""}},
 	}
-	v, err := suite.RunSource(`void spin() { while (true) { int x = 0; } }`)
+	src := `void spin() { while (true) { int x = 0; } }`
+	v, err := suite.RunSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Pass || !v.InfiniteLoop {
-		t.Errorf("verdict = %+v, want infinite-loop failure", v)
+	unit, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for engine, v := range map[string]functest.Verdict{"compiled": v, "tree-walk": suite.RunTreeWalk(unit)} {
+		if v.Pass || !v.InfiniteLoop {
+			t.Errorf("%s: verdict = %+v, want infinite-loop failure", engine, v)
+		}
+		if v.Steps != 5_001 {
+			t.Errorf("%s: Steps = %d, want 5001 (the budget plus the step that exceeded it)", engine, v.Steps)
+		}
 	}
 }
 

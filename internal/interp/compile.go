@@ -102,18 +102,18 @@ type varRef struct {
 func (r varRef) empty() bool { return len(r.slots) == 0 && r.global < 0 }
 
 // read returns the first defined candidate.
-func (r varRef) read(v *vm, fr *cframe) (Value, bool) {
+func (r varRef) read(v *vm, fr *cframe) (val, bool) {
 	for _, s := range r.slots {
-		if val := fr.slots[s]; val != undef {
-			return val, true
+		if cv := fr.slots[s]; cv.defined() {
+			return cv, true
 		}
 	}
 	if r.global >= 0 {
-		if val := v.globals[r.global]; val != undef {
-			return val, true
+		if cv := v.globals[r.global]; cv.defined() {
+			return cv, true
 		}
 	}
-	return nil, false
+	return val{}, false
 }
 
 func (c *compiler) resolve(name string) varRef {
@@ -198,9 +198,9 @@ func (c *compiler) condNode(e ast.Expr) *cnode {
 		if err != nil {
 			return nil, err
 		}
-		b, ok := cv.(bool)
+		b, ok := cv.v.(bool)
 		if !ok {
-			return nil, errAt(line, "condition is %s, not boolean", valueType(cv))
+			return nil, errAt(line, "condition is %s, not boolean", valueType(cv.boxed()))
 		}
 		if b {
 			return n.tnext, nil
@@ -213,8 +213,8 @@ func (c *compiler) condNode(e ast.Expr) *cnode {
 // declPart is one compiled declarator of a local variable declaration.
 type declPart struct {
 	init     exprFn // nil: zero-initialize
-	zero     Value
-	coerce   bool // scalar declaration: apply coerceElem
+	zero     val
+	coerce   bool // scalar declaration: apply coerceVal
 	typeName string
 	slot     int
 	name     string
@@ -269,7 +269,7 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 					p.init = c.expr(d.Init)
 				}
 			} else {
-				p.zero = zeroValue(x.Type.Name, x.Type.Dims+d.ExtraDims)
+				p.zero = unbox(zeroValue(x.Type.Name, x.Type.Dims+d.ExtraDims))
 			}
 			p.slot = c.declare(d.Name)
 		}
@@ -281,20 +281,20 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			}
 			for i := range parts {
 				p := &parts[i]
-				val := p.zero
+				cv := p.zero
 				if p.init != nil {
 					var err error
-					val, err = p.init(v, fr)
+					cv, err = p.init(v, fr)
 					if err != nil {
 						return nil, err
 					}
 					if p.coerce {
-						val = coerceElem(val, p.typeName)
+						cv = coerceVal(cv, p.typeName)
 					}
 				}
-				fr.slots[p.slot] = val
+				fr.slots[p.slot] = cv
 				if v.tracer != nil {
-					v.tracer.OnAssign(mname, p.line, p.name, val)
+					v.tracer.OnAssign(mname, p.line, p.name, cv.boxed())
 				}
 			}
 			return n.tnext, nil
@@ -327,9 +327,9 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			if err != nil {
 				return nil, err
 			}
-			b, ok := cv.(bool)
+			b, ok := cv.v.(bool)
 			if !ok {
-				return nil, errAt(condLine, "condition is %s, not boolean", valueType(cv))
+				return nil, errAt(condLine, "condition is %s, not boolean", valueType(cv.boxed()))
 			}
 			if b {
 				return n.tnext, nil
@@ -456,7 +456,7 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		varSlot := c.declare(x.Name)
 		arrSlot := c.hidden()
 		idxSlot := c.hidden()
-		zero := zeroValue(x.ElemType.Name, x.ElemType.Dims)
+		zero := unbox(zeroValue(x.ElemType.Name, x.ElemType.Dims))
 		varName := x.Name
 		mname := c.fn.name
 		entry := &cnode{}
@@ -468,25 +468,25 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			if err != nil {
 				return nil, err
 			}
-			arr, err := iterableArray(it, line)
+			arr, err := iterableArray(it.boxed(), line)
 			if err != nil {
 				return nil, err
 			}
 			fr.slots[varSlot] = zero // defined, untraced, like f.define
-			fr.slots[arrSlot] = arr
-			fr.slots[idxSlot] = 0
+			fr.slots[arrSlot] = val{v: arr}
+			fr.slots[idxSlot] = intVal(0)
 			return entry.tnext, nil
 		}
 		iter := &cnode{}
 		iter.exec = func(v *vm, fr *cframe) (*cnode, error) {
-			arr := fr.slots[arrSlot].(*Array)
-			i := fr.slots[idxSlot].(int)
-			if i >= len(arr.Elems) {
+			arr := fr.slots[arrSlot].v.(*Array)
+			i := fr.slots[idxSlot].n
+			if i >= int64(len(arr.Elems)) {
 				return iter.fnext, nil
 			}
-			fr.slots[idxSlot] = i + 1
+			fr.slots[idxSlot] = intVal(i + 1)
 			el := arr.Elems[i]
-			fr.slots[varSlot] = el
+			fr.slots[varSlot] = unbox(el)
 			if v.tracer != nil {
 				v.tracer.OnAssign(mname, line, varName, el)
 			}
@@ -541,7 +541,7 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 						if err != nil {
 							return nil, err
 						}
-						if looseEqual(fr.slots[tagSlot], cv) {
+						if looseEqualVal(fr.slots[tagSlot], cv) {
 							return t.tnext, nil
 						}
 						return t.fnext, nil
@@ -603,11 +603,11 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 				return nil, err
 			}
 			if re != nil {
-				val, err := re(v, fr)
+				cv, err := re(v, fr)
 				if err != nil {
 					return nil, err
 				}
-				fr.ret = val
+				fr.ret = cv
 			}
 			return nil, nil
 		}
@@ -620,11 +620,11 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			if err := v.step(line); err != nil {
 				return nil, err
 			}
-			val, err := e(v, fr)
+			cv, err := e(v, fr)
 			if err != nil {
 				return nil, err
 			}
-			return nil, errAt(line, "exception thrown: %s", Format(val))
+			return nil, errAt(line, "exception thrown: %s", cv.format())
 		}
 		return n, nil
 	}
@@ -675,7 +675,7 @@ func Compile(unit *ast.CompilationUnit) *Program {
 					ic := &compiler{p: p, fn: &compiledMethod{name: "<init>"}}
 					gi.init = ic.expr(d.Init)
 				} else {
-					gi.zero = zeroValue(fld.Decl.Type.Name, fld.Decl.Type.Dims+d.ExtraDims)
+					gi.zero = unbox(zeroValue(fld.Decl.Type.Name, fld.Decl.Type.Dims+d.ExtraDims))
 				}
 				p.inits = append(p.inits, gi)
 			}
@@ -704,5 +704,5 @@ func compileMethod(p *Program, meth *ast.Method) {
 	fn.entry = entry
 	fn.nslots = c.nslots
 	nslots := c.nslots
-	fn.frames.New = func() any { return &cframe{slots: make([]Value, nslots)} }
+	fn.frames.New = func() any { return &cframe{slots: make([]val, nslots)} }
 }

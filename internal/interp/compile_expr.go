@@ -9,7 +9,10 @@ import (
 // storeFn closures. Every closure charges one step for its own AST node
 // before doing work — the position machine.eval charges from — and dispatches
 // into the same pure helpers (binaryOp, mathCall, stringCall, ...) the
-// tree-walker uses, so values and error strings agree by construction.
+// tree-walker uses, so values and error strings agree by construction. The
+// closures compute on value cells: two int cells meet in the int helpers
+// binaryOp itself uses (intCompare, intArith), every other operand boxes
+// into the Value-typed helper.
 
 // boolFn evaluates an expression that must yield a boolean (conditions and
 // short-circuit operands).
@@ -19,11 +22,11 @@ type boolFn func(*vm, *cframe) (bool, error)
 // before erroring, like the tree-walker reaching the same node.
 func errExpr(line int, format string, args ...any) exprFn {
 	err := errAt(line, format, args...)
-	return func(v *vm, fr *cframe) (Value, error) {
+	return func(v *vm, fr *cframe) (val, error) {
 		if serr := v.step(line); serr != nil {
-			return nil, serr
+			return val{}, serr
 		}
-		return nil, err
+		return val{}, err
 	}
 }
 
@@ -35,16 +38,76 @@ func (c *compiler) exprList(exprs []ast.Expr) []exprFn {
 	return fns
 }
 
+// evalAll evaluates the arguments of a builtin or library call, boxed.
 func evalAll(v *vm, fr *cframe, fns []exprFn) ([]Value, error) {
 	args := make([]Value, len(fns))
 	for i, fn := range fns {
-		val, err := fn(v, fr)
+		cv, err := fn(v, fr)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = val
+		args[i] = cv.boxed()
 	}
 	return args, nil
+}
+
+// binaryVal is binaryOp on cells: two ints go to the int helpers unboxed,
+// any other pair through binaryOp itself.
+func binaryVal(op token.Kind, l, r val, line int) (val, error) {
+	if l.isInt() && r.isInt() {
+		if b, ok := intCompare(op, l.n, r.n); ok {
+			return val{v: b}, nil
+		}
+		n, err := intArith(op, l.n, r.n, line)
+		return intVal(n), err
+	}
+	return unboxRes(binaryOp(op, l.boxed(), r.boxed(), line))
+}
+
+// incDecVal is incDecValue on a cell.
+func incDecVal(op token.Kind, old val, delta int64, line int) (val, error) {
+	if old.isInt() {
+		return intVal(old.n + delta), nil
+	}
+	return unboxRes(incDecValue(op, old.boxed(), delta, line))
+}
+
+// narrowVal is narrowCompound on cells. narrowCompound keeps the result of
+// an int64 target as it is (binaryOp never yields a Char for one), so only
+// other targets box.
+func narrowVal(old, nv val) val {
+	if old.isInt() {
+		return nv
+	}
+	return unbox(narrowCompound(old.boxed(), nv.boxed()))
+}
+
+// coerceVal is coerceElem on a cell; coerceElem is the identity on an
+// int64 bound for an integral type.
+func coerceVal(cv val, typeName string) val {
+	if cv.isInt() {
+		switch typeName {
+		case "int", "long", "byte", "short":
+			return cv
+		}
+	}
+	return unbox(coerceElem(cv.boxed(), typeName))
+}
+
+// indexVal is checkIndex on a cell.
+func indexVal(cv val, length, line int) (int, error) {
+	if cv.isInt() {
+		return checkBounds(cv.n, length, line)
+	}
+	return checkIndex(cv.v, length, line)
+}
+
+// looseEqualVal is looseEqual on cells, for switch case tests.
+func looseEqualVal(a, b val) bool {
+	if a.isInt() && b.isInt() {
+		return a.n == b.n
+	}
+	return looseEqual(a.boxed(), b.boxed())
 }
 
 // boolExpr wraps an expression with the boolean check evalBool performs,
@@ -53,13 +116,13 @@ func (c *compiler) boolExpr(e ast.Expr) boolFn {
 	fn := c.expr(e)
 	line := e.Pos().Line
 	return func(v *vm, fr *cframe) (bool, error) {
-		val, err := fn(v, fr)
+		cv, err := fn(v, fr)
 		if err != nil {
 			return false, err
 		}
-		b, ok := val.(bool)
+		b, ok := cv.v.(bool)
 		if !ok {
-			return false, errAt(line, "condition is %s, not boolean", valueType(val))
+			return false, errAt(line, "condition is %s, not boolean", valueType(cv.boxed()))
 		}
 		return b, nil
 	}
@@ -72,8 +135,8 @@ func (c *compiler) boolExpr(e ast.Expr) boolFn {
 // operand. Step charges, undef checks and error text match the generic path
 // exactly — fusion changes dispatch, not semantics.
 type fuseOp struct {
-	slot int   // -1: constant literal
-	val  Value // literal value when slot < 0
+	slot int // -1: constant literal
+	lit  val // literal value when slot < 0
 	name string
 	line int
 }
@@ -86,77 +149,72 @@ func (c *compiler) fuseOperand(e ast.Expr) (fuseOp, bool) {
 			return fuseOp{slot: ref.slots[0], name: x.Name, line: x.P.Line}, true
 		}
 	case *ast.Literal:
-		if val, err := evalLiteral(x); err == nil {
-			return fuseOp{slot: -1, val: val, line: x.P.Line}, true
+		if lit, err := evalLiteral(x); err == nil {
+			return fuseOp{slot: -1, lit: unbox(lit), line: x.P.Line}, true
 		}
 	}
 	return fuseOp{}, false
 }
 
-func (o *fuseOp) eval(v *vm, fr *cframe) (Value, error) {
+func (o *fuseOp) eval(v *vm, fr *cframe) (val, error) {
 	if err := v.step(o.line); err != nil {
-		return nil, err
+		return val{}, err
 	}
 	if o.slot < 0 {
-		return o.val, nil
+		return o.lit, nil
 	}
-	if val := fr.slots[o.slot]; val != undef {
-		return val, nil
+	if cv := fr.slots[o.slot]; cv.defined() {
+		return cv, nil
 	}
-	return nil, errAt(o.line, "cannot resolve variable %s", o.name)
+	return val{}, errAt(o.line, "cannot resolve variable %s", o.name)
 }
 
 func (c *compiler) expr(e ast.Expr) exprFn {
 	line := e.Pos().Line
 	switch x := e.(type) {
 	case *ast.Literal:
-		val, err := evalLiteral(x)
+		lit, err := evalLiteral(x)
 		if err != nil {
 			lerr := err
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if serr := v.step(line); serr != nil {
-					return nil, serr
+					return val{}, serr
 				}
-				return nil, lerr
+				return val{}, lerr
 			}
 		}
-		return func(v *vm, fr *cframe) (Value, error) {
-			if err := v.step(line); err != nil {
-				return nil, err
-			}
-			return val, nil
-		}
+		return constExpr(line, lit)
 
 	case *ast.Ident:
 		ref := c.resolve(x.Name)
 		name := x.Name
 		if len(ref.slots) == 1 && ref.global < 0 {
 			slot := ref.slots[0]
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
-				if val := fr.slots[slot]; val != undef {
-					return val, nil
+				if cv := fr.slots[slot]; cv.defined() {
+					return cv, nil
 				}
-				return nil, errAt(line, "cannot resolve variable %s", name)
+				return val{}, errAt(line, "cannot resolve variable %s", name)
 			}
 		}
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			if val, ok := ref.read(v, fr); ok {
-				return val, nil
+			if cv, ok := ref.read(v, fr); ok {
+				return cv, nil
 			}
-			return nil, errAt(line, "cannot resolve variable %s", name)
+			return val{}, errAt(line, "cannot resolve variable %s", name)
 		}
 
 	case *ast.Paren:
 		inner := c.expr(x.X)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			return inner(v, fr)
 		}
@@ -166,66 +224,66 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		case token.LAND:
 			lf := c.boolExpr(x.L)
 			rf := c.boolExpr(x.R)
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				l, err := lf(v, fr)
 				if err != nil || !l {
-					return false, err
+					return val{v: false}, err
 				}
 				r, err := rf(v, fr)
-				return r, err
+				return val{v: r}, err
 			}
 		case token.LOR:
 			lf := c.boolExpr(x.L)
 			rf := c.boolExpr(x.R)
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				l, err := lf(v, fr)
 				if err != nil || l {
-					return l, err
+					return val{v: l}, err
 				}
 				r, err := rf(v, fr)
-				return r, err
+				return val{v: r}, err
 			}
 		}
 		op := x.Op
 		if lo, lok := c.fuseOperand(x.L); lok {
 			if ro, rok := c.fuseOperand(x.R); rok {
-				return func(v *vm, fr *cframe) (Value, error) {
+				return func(v *vm, fr *cframe) (val, error) {
 					if err := v.step(line); err != nil {
-						return nil, err
+						return val{}, err
 					}
 					l, err := lo.eval(v, fr)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
 					r, err := ro.eval(v, fr)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
-					return binaryOp(op, l, r, line)
+					return binaryVal(op, l, r, line)
 				}
 			}
 		}
 		lf := c.expr(x.L)
 		rf := c.expr(x.R)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			l, err := lf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			r, err := rf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return binaryOp(op, l, r, line)
+			return binaryVal(op, l, r, line)
 		}
 
 	case *ast.Unary:
@@ -238,21 +296,21 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 			postfix := x.Postfix
 			if o, ok := c.fuseOperand(x.X); ok && o.slot >= 0 {
 				mname := c.fn.name
-				return func(v *vm, fr *cframe) (Value, error) {
+				return func(v *vm, fr *cframe) (val, error) {
 					if err := v.step(line); err != nil {
-						return nil, err
+						return val{}, err
 					}
 					old, err := o.eval(v, fr)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
-					nv, err := incDecValue(op, old, delta, line)
+					nv, err := incDecVal(op, old, delta, line)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
 					fr.slots[o.slot] = nv
 					if v.tracer != nil {
-						v.tracer.OnAssign(mname, o.line, o.name, nv)
+						v.tracer.OnAssign(mname, o.line, o.name, nv.boxed())
 					}
 					if postfix {
 						return old, nil
@@ -262,20 +320,20 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 			}
 			rd := c.expr(x.X)
 			st := c.lvalue(x.X)
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				old, err := rd(v, fr)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
-				nv, err := incDecValue(op, old, delta, line)
+				nv, err := incDecVal(op, old, delta, line)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
 				if err := st(v, fr, nv); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				if postfix {
 					return old, nil
@@ -285,15 +343,15 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		}
 		xf := c.expr(x.X)
 		op := x.Op
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := xf(v, fr)
+			cv, err := xf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return unaryOp(op, val, line)
+			return unboxRes(unaryOp(op, cv.boxed(), line))
 		}
 
 	case *ast.Assign:
@@ -305,18 +363,18 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		}
 		st := c.lvalue(x.Target)
 		if x.Op == token.ASSIGN {
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
-				val, err := vf(v, fr)
+				cv, err := vf(v, fr)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
-				if err := st(v, fr, val); err != nil {
-					return nil, err
+				if err := st(v, fr, cv); err != nil {
+					return val{}, err
 				}
-				return val, nil
+				return cv, nil
 			}
 		}
 		tf := c.expr(x.Target)
@@ -325,81 +383,81 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 			// The tree-walker evaluates both sides before rejecting the
 			// operator; preserve that (side effects and step parity).
 			op := x.Op
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				if _, err := vf(v, fr); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				if _, err := tf(v, fr); err != nil {
-					return nil, err
+					return val{}, err
 				}
-				return nil, errAt(line, "unsupported compound assignment %s", op)
+				return val{}, errAt(line, "unsupported compound assignment %s", op)
 			}
 		}
 		if to, tok := c.fuseOperand(x.Target); tok && to.slot >= 0 {
 			if vo, vok := c.fuseOperand(x.Value); vok {
 				mname := c.fn.name
-				return func(v *vm, fr *cframe) (Value, error) {
+				return func(v *vm, fr *cframe) (val, error) {
 					if err := v.step(line); err != nil {
-						return nil, err
+						return val{}, err
 					}
-					val, err := vo.eval(v, fr)
+					cv, err := vo.eval(v, fr)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
 					old, err := to.eval(v, fr)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
-					val, err = binaryOp(binOp, old, val, line)
+					cv, err = binaryVal(binOp, old, cv, line)
 					if err != nil {
-						return nil, err
+						return val{}, err
 					}
-					val = narrowCompound(old, val)
-					fr.slots[to.slot] = val
+					cv = narrowVal(old, cv)
+					fr.slots[to.slot] = cv
 					if v.tracer != nil {
-						v.tracer.OnAssign(mname, to.line, to.name, val)
+						v.tracer.OnAssign(mname, to.line, to.name, cv.boxed())
 					}
-					return val, nil
+					return cv, nil
 				}
 			}
 		}
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := vf(v, fr)
+			cv, err := vf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			old, err := tf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err = binaryOp(binOp, old, val, line)
+			cv, err = binaryVal(binOp, old, cv, line)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val = narrowCompound(old, val)
-			if err := st(v, fr, val); err != nil {
-				return nil, err
+			cv = narrowVal(old, cv)
+			if err := st(v, fr, cv); err != nil {
+				return val{}, err
 			}
-			return val, nil
+			return cv, nil
 		}
 
 	case *ast.Ternary:
 		cf := c.boolExpr(x.Cond)
 		tf := c.expr(x.Then)
 		ef := c.expr(x.Else)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			b, err := cf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			if b {
 				return tf(v, fr)
@@ -417,27 +475,27 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		xf := c.expr(x.X)
 		idxf := c.expr(x.Idx)
 		idxLine := x.Idx.Pos().Line
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			arrv, err := xf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			arr, ok := arrv.(*Array)
+			arr, ok := arrv.v.(*Array)
 			if !ok || arr == nil {
-				return nil, errAt(line, "array access on %s", valueType(arrv))
+				return val{}, errAt(line, "array access on %s", valueType(arrv.boxed()))
 			}
 			iv, err := idxf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			i, err := checkIndex(iv, len(arr.Elems), idxLine)
+			i, err := indexVal(iv, len(arr.Elems), idxLine)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return arr.Elems[i], nil
+			return unbox(arr.Elems[i]), nil
 		}
 
 	case *ast.NewArray:
@@ -451,23 +509,23 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		}
 		dims := c.exprList(x.Dims)
 		elem := x.Elem.Name
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			sizes := make([]int, len(dims))
 			for i, df := range dims {
 				dv, err := df(v, fr)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
-				n, err := checkArrayDim(dv, line)
+				n, err := checkArrayDim(dv.boxed(), line)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
 				sizes[i] = n
 			}
-			return buildArray(elem, sizes, 0), nil
+			return val{v: buildArray(elem, sizes, 0)}, nil
 		}
 
 	case *ast.ArrayLit:
@@ -479,28 +537,28 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 	case *ast.Cast:
 		xf := c.expr(x.X)
 		to := x.To
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := xf(v, fr)
+			cv, err := xf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return castValue(val, to, line)
+			return unboxRes(castValue(cv.boxed(), to, line))
 		}
 
 	case *ast.InstanceOf:
 		xf := c.expr(x.X)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := xf(v, fr)
+			cv, err := xf(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return val != nil, nil
+			return val{v: cv.v != nil}, nil
 		}
 	}
 	return errExpr(line, "unsupported expression %T", e)
@@ -521,21 +579,21 @@ func (c *compiler) arrayLit(lit *ast.ArrayLit, elem string, selfStep bool) exprF
 			els[i] = c.expr(el)
 		}
 	}
-	return func(v *vm, fr *cframe) (Value, error) {
+	return func(v *vm, fr *cframe) (val, error) {
 		if selfStep {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 		}
 		arr := &Array{Elem: elem, Elems: make([]Value, len(els))}
 		for i, ef := range els {
-			val, err := ef(v, fr)
+			cv, err := ef(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			arr.Elems[i] = coerceElem(val, elem)
+			arr.Elems[i] = coerceVal(cv, elem).boxed()
 		}
-		return arr, nil
+		return val{v: arr}, nil
 	}
 }
 
@@ -550,20 +608,20 @@ func (c *compiler) lvalue(target ast.Expr) storeFn {
 		name := t.Name
 		line := t.P.Line
 		mname := c.fn.name
-		return func(v *vm, fr *cframe, val Value) error {
+		return func(v *vm, fr *cframe, cv val) error {
 			for _, s := range ref.slots {
-				if fr.slots[s] != undef {
-					fr.slots[s] = val
+				if fr.slots[s].defined() {
+					fr.slots[s] = cv
 					if v.tracer != nil {
-						v.tracer.OnAssign(mname, line, name, val)
+						v.tracer.OnAssign(mname, line, name, cv.boxed())
 					}
 					return nil
 				}
 			}
-			if ref.global >= 0 && v.globals[ref.global] != undef {
-				v.globals[ref.global] = val
+			if ref.global >= 0 && v.globals[ref.global].defined() {
+				v.globals[ref.global] = cv
 				if v.tracer != nil {
-					v.tracer.OnAssign(mname, line, name, val)
+					v.tracer.OnAssign(mname, line, name, cv.boxed())
 				}
 				return nil
 			}
@@ -580,24 +638,24 @@ func (c *compiler) lvalue(target ast.Expr) storeFn {
 			rootName = root.Name
 		}
 		mname := c.fn.name
-		return func(v *vm, fr *cframe, val Value) error {
+		return func(v *vm, fr *cframe, cv val) error {
 			arrv, err := xf(v, fr)
 			if err != nil {
 				return err
 			}
-			arr, ok := arrv.(*Array)
+			arr, ok := arrv.v.(*Array)
 			if !ok || arr == nil {
-				return errAt(line, "array store on %s", valueType(arrv))
+				return errAt(line, "array store on %s", valueType(arrv.boxed()))
 			}
 			iv, err := idxf(v, fr)
 			if err != nil {
 				return err
 			}
-			i, err := checkIndex(iv, len(arr.Elems), idxLine)
+			i, err := indexVal(iv, len(arr.Elems), idxLine)
 			if err != nil {
 				return err
 			}
-			arr.Elems[i] = coerceElem(val, arr.Elem)
+			arr.Elems[i] = coerceVal(cv, arr.Elem).boxed()
 			if rootName != "" && v.tracer != nil {
 				v.tracer.OnAssign(mname, line, rootName, arr)
 			}
@@ -606,7 +664,7 @@ func (c *compiler) lvalue(target ast.Expr) storeFn {
 	}
 	line := target.Pos().Line
 	err := errAt(line, "invalid assignment target %T", target)
-	return func(v *vm, fr *cframe, val Value) error { return err }
+	return func(v *vm, fr *cframe, cv val) error { return err }
 }
 
 // call compiles a method invocation, preserving the tree-walker's dispatch
@@ -643,15 +701,15 @@ func (c *compiler) call(x *ast.Call) exprFn {
 		if dispatch != nil {
 			argFns := c.exprList(x.Args)
 			name := x.Name
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				args, err := evalAll(v, fr, argFns)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
-				return dispatch(name, args, line)
+				return unboxRes(dispatch(name, args, line))
 			}
 		}
 	}
@@ -662,45 +720,59 @@ func (c *compiler) call(x *ast.Call) exprFn {
 		if !ok {
 			return errExpr(line, "cannot resolve method %s", x.Name)
 		}
+		// Arguments evaluate straight into the callee's parameter slots.
 		argFns := c.exprList(x.Args)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			args, err := evalAll(v, fr, argFns)
-			if err != nil {
-				return nil, err
+			if len(argFns) != len(fn.params) {
+				for _, af := range argFns {
+					if _, err := af(v, fr); err != nil {
+						return val{}, err
+					}
+				}
+				return val{}, v.arityErr(fn, len(argFns))
 			}
-			return v.invoke(fn, args)
+			callee := fn.getFrame()
+			for i, af := range argFns {
+				cv, err := af(v, fr)
+				if err != nil {
+					fn.frames.Put(callee)
+					return val{}, err
+				}
+				callee.slots[fn.params[i].slot] = cv
+			}
+			return v.invoke(fn, callee)
 		}
 	}
 	recvFn := c.expr(x.Recv)
 	argFns := c.exprList(x.Args)
 	name := x.Name
-	return func(v *vm, fr *cframe) (Value, error) {
+	return func(v *vm, fr *cframe) (val, error) {
 		if err := v.step(line); err != nil {
-			return nil, err
+			return val{}, err
 		}
 		r, err := recvFn(v, fr)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
-		switch rv := r.(type) {
+		switch rv := r.v.(type) {
 		case *Scanner:
 			// Scanner methods never evaluate call arguments.
-			return scannerCall(rv, name, line)
+			return unboxRes(scannerCall(rv, name, line))
 		case string:
 			args, err := evalAll(v, fr, argFns)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return stringCall(rv, name, args, line)
+			return unboxRes(stringCall(rv, name, args, line))
 		case *Array:
-			return nil, errAt(line, "arrays have no method %s", name)
+			return val{}, errAt(line, "arrays have no method %s", name)
 		case nil:
-			return nil, errAt(line, "NullPointerException: calling %s on null", name)
+			return val{}, errAt(line, "NullPointerException: calling %s on null", name)
 		}
-		return nil, errAt(line, "cannot call %s on %s", name, valueType(r))
+		return val{}, errAt(line, "cannot call %s on %s", name, valueType(r.boxed()))
 	}
 }
 
@@ -715,50 +787,50 @@ func (c *compiler) printCall(x *ast.Call) exprFn {
 		}
 		newline := x.Name == "println"
 		if len(x.Args) == 0 {
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
 				if newline {
 					v.out.WriteByte('\n')
 				}
-				return nil, nil
+				return val{}, nil
 			}
 		}
 		af := c.expr(x.Args[0])
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := af(v, fr)
+			cv, err := af(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			v.out.WriteString(Format(val))
+			v.out.WriteString(cv.format())
 			if newline {
 				v.out.WriteByte('\n')
 			}
-			return nil, nil
+			return val{}, nil
 		}
 	case "printf", "format":
 		if len(x.Args) == 0 {
 			return errExpr(line, "printf needs a format string")
 		}
 		argFns := c.exprList(x.Args)
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
 			args, err := evalAll(v, fr, argFns)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			s, err := printfText(args, line)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
 			v.out.WriteString(s)
-			return nil, nil
+			return val{}, nil
 		}
 	}
 	return errExpr(line, "System.out has no method %s", x.Name)
@@ -777,39 +849,39 @@ func (c *compiler) fieldAccess(x *ast.FieldAccess) exprFn {
 		class := root.Name
 		rootLine := root.P.Line
 		if ref.empty() {
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
-				return staticFieldValue(class, fname, line)
+				return unboxRes(staticFieldValue(class, fname, line))
 			}
 		}
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, ok := ref.read(v, fr)
+			cv, ok := ref.read(v, fr)
 			if !ok {
-				return staticFieldValue(class, fname, line)
+				return unboxRes(staticFieldValue(class, fname, line))
 			}
 			// The tree-walker re-evaluates the root identifier, charging its
 			// step.
 			if err := v.step(rootLine); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return fieldOn(val, fname, line)
+			return unboxRes(fieldOn(cv.boxed(), fname, line))
 		}
 	}
 	xf := c.expr(x.X)
-	return func(v *vm, fr *cframe) (Value, error) {
+	return func(v *vm, fr *cframe) (val, error) {
 		if err := v.step(line); err != nil {
-			return nil, err
+			return val{}, err
 		}
-		val, err := xf(v, fr)
+		cv, err := xf(v, fr)
 		if err != nil {
-			return nil, err
+			return val{}, err
 		}
-		return fieldOn(val, fname, line)
+		return unboxRes(fieldOn(cv.boxed(), fname, line))
 	}
 }
 
@@ -824,58 +896,58 @@ func (c *compiler) newObject(x *ast.NewObject) exprFn {
 			return errExpr(line, "new Scanner expects 1 argument")
 		}
 		af := c.expr(x.Args[0])
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := af(v, fr)
+			cv, err := af(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return scannerFromValue(val, line, v.stdin, v.files)
+			return unboxRes(scannerFromValue(cv.boxed(), line, v.stdin, v.files))
 		}
 	case "File", "java.io.File":
 		if len(x.Args) != 1 {
 			return errExpr(line, "new File expects 1 argument")
 		}
 		af := c.expr(x.Args[0])
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := af(v, fr)
+			cv, err := af(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return fileFromValue(val, line)
+			return unboxRes(fileFromValue(cv.boxed(), line))
 		}
 	case "String":
 		if len(x.Args) == 0 {
 			return constExpr(line, "")
 		}
 		af := c.expr(x.Args[0])
-		return func(v *vm, fr *cframe) (Value, error) {
+		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
-				return nil, err
+				return val{}, err
 			}
-			val, err := af(v, fr)
+			cv, err := af(v, fr)
 			if err != nil {
-				return nil, err
+				return val{}, err
 			}
-			return Format(val), nil
+			return val{v: cv.format()}, nil
 		}
 	case "StringBuilder", "StringBuffer":
 		if len(x.Args) == 1 {
 			af := c.expr(x.Args[0])
-			return func(v *vm, fr *cframe) (Value, error) {
+			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
-					return nil, err
+					return val{}, err
 				}
-				val, err := af(v, fr)
+				cv, err := af(v, fr)
 				if err != nil {
-					return nil, err
+					return val{}, err
 				}
-				return Format(val), nil
+				return val{v: cv.format()}, nil
 			}
 		}
 		return constExpr(line, "")
@@ -884,11 +956,12 @@ func (c *compiler) newObject(x *ast.NewObject) exprFn {
 }
 
 // constExpr charges the node's step and yields a fixed value.
-func constExpr(line int, val Value) exprFn {
-	return func(v *vm, fr *cframe) (Value, error) {
+func constExpr(line int, x Value) exprFn {
+	cv := unbox(x)
+	return func(v *vm, fr *cframe) (val, error) {
 		if err := v.step(line); err != nil {
-			return nil, err
+			return val{}, err
 		}
-		return val, nil
+		return cv, nil
 	}
 }

@@ -142,6 +142,11 @@ func checkIndex(v Value, length int, line int) (int, error) {
 	if !ok {
 		return 0, errAt(line, "array index is %s, not int", valueType(v))
 	}
+	return checkBounds(i, length, line)
+}
+
+// checkBounds is checkIndex's bounds check on an integral subscript.
+func checkBounds(i int64, length int, line int) (int, error) {
 	if i < 0 || int(i) >= length {
 		return 0, errAt(line, "ArrayIndexOutOfBoundsException: index %d, length %d", i, length)
 	}
@@ -249,45 +254,71 @@ func binaryOp(op token.Kind, l, r Value, line int) (Value, error) {
 		// String comparison via compareTo is a method; == handled above.
 		return nil, errAt(line, "operator %s on %s and %s", op, valueType(l), valueType(r))
 	}
+	if b, ok := intCompare(op, li, ri); ok {
+		return b, nil
+	}
+	n, err := intArith(op, li, ri, line)
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// intCompare applies a comparison operator to two integral operands; ok is
+// false for any other operator. It and intArith are binaryOp's int×int
+// semantics, which the compiled engine calls on unboxed ints.
+func intCompare(op token.Kind, l, r int64) (res, ok bool) {
+	switch op {
+	case token.LSS:
+		return l < r, true
+	case token.LEQ:
+		return l <= r, true
+	case token.GTR:
+		return l > r, true
+	case token.GEQ:
+		return l >= r, true
+	case token.EQL:
+		return l == r, true
+	case token.NEQ:
+		return l != r, true
+	}
+	return false, false
+}
+
+// intArith applies an arithmetic, bitwise or shift operator to two integral
+// operands, wrapping at 64 bits.
+func intArith(op token.Kind, l, r int64, line int) (int64, error) {
 	switch op {
 	case token.ADD:
-		return li + ri, nil
+		return l + r, nil
 	case token.SUB:
-		return li - ri, nil
+		return l - r, nil
 	case token.MUL:
-		return li * ri, nil
+		return l * r, nil
 	case token.QUO:
-		if ri == 0 {
-			return nil, errAt(line, "ArithmeticException: / by zero")
+		if r == 0 {
+			return 0, errAt(line, "ArithmeticException: / by zero")
 		}
-		return li / ri, nil
+		return l / r, nil
 	case token.REM:
-		if ri == 0 {
-			return nil, errAt(line, "ArithmeticException: / by zero")
+		if r == 0 {
+			return 0, errAt(line, "ArithmeticException: / by zero")
 		}
-		return li % ri, nil
-	case token.LSS:
-		return li < ri, nil
-	case token.LEQ:
-		return li <= ri, nil
-	case token.GTR:
-		return li > ri, nil
-	case token.GEQ:
-		return li >= ri, nil
+		return l % r, nil
 	case token.AND:
-		return li & ri, nil
+		return l & r, nil
 	case token.OR:
-		return li | ri, nil
+		return l | r, nil
 	case token.XOR:
-		return li ^ ri, nil
+		return l ^ r, nil
 	case token.SHL:
-		return li << uint(ri&63), nil
+		return l << uint(r&63), nil
 	case token.SHR:
-		return li >> uint(ri&63), nil
+		return l >> uint(r&63), nil
 	case token.USHR:
-		return int64(uint64(li) >> uint(ri&63)), nil
+		return int64(uint64(l) >> uint(r&63)), nil
 	}
-	return nil, errAt(line, "unsupported operator %s", op)
+	return 0, errAt(line, "unsupported operator %s", op)
 }
 
 func (m *machine) evalUnary(x *ast.Unary, f *frame) (Value, error) {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"semfeed/internal/interp"
+	"semfeed/internal/java/ast"
 	"semfeed/internal/java/parser"
 )
 
@@ -58,6 +59,41 @@ func TestNumericEdgeCases(t *testing.T) {
 	for body, want := range cases {
 		if got := out(t, body); got != want {
 			t.Errorf("%s: got %q, want %q", body, got, want)
+		}
+	}
+}
+
+// TestIntegerEqualityExact: ==, != and switch compare two integral
+// operands exactly, also past 2^53 where doubles no longer tell neighbours
+// apart, while a double operand still promotes the other. Both engines.
+func TestIntegerEqualityExact(t *testing.T) {
+	src := `void f() {
+	  long a = 1;
+	  for (int i = 0; i < 53; i++) { a = a * 2; }
+	  long b = a + 1;
+	  System.out.println(b == a);
+	  System.out.println(b != a);
+	  System.out.println(b == 9007199254740992.0);
+	  switch (b) {
+	  case 9007199254740992: System.out.println("2^53"); break;
+	  case 9007199254740993: System.out.println("2^53+1"); break;
+	  }
+	}`
+	const want = "false\ntrue\ntrue\n2^53+1\n"
+	unit, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []struct {
+		name string
+		run  func(*ast.CompilationUnit, string, []interp.Value, interp.Config) (*interp.Result, error)
+	}{{"compiled", interp.Run}, {"tree-walk", interp.RunTreeWalk}} {
+		res, err := engine.run(unit, "f", nil, interp.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", engine.name, err)
+		}
+		if res.Stdout != want {
+			t.Errorf("%s: got %q, want %q", engine.name, res.Stdout, want)
 		}
 	}
 }

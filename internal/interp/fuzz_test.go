@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semfeed/internal/interp"
+	"semfeed/internal/java/ast"
 	"semfeed/internal/java/parser"
 )
 
@@ -19,8 +20,11 @@ func normalizePtrs(s string) string {
 
 // FuzzRun is a differential fuzzer: arbitrary source executes on both the
 // compiled engine and the tree-walking reference, which must agree on error,
-// console output, return value and exact step count — and neither may panic
-// or run away.
+// console output, return value and exact step count — failing runs
+// included — and neither may panic or run away. Each input runs twice: as
+// f() and as f(a, b), so values also enter through parameters, the path of
+// every functional test (a method without two parameters fails the arity
+// check identically on both engines).
 func FuzzRun(f *testing.F) {
 	seeds := []string{
 		"void f() { int x = 1 / 0; }",
@@ -66,38 +70,74 @@ func FuzzRun(f *testing.F) {
 		"int[] f() { int[] a = new int[3]; for (int i = 0; i < 3; i++) a[i] = i * i; return a; }",
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(s, int64(0), int64(0))
 	}
-	f.Fuzz(func(t *testing.T, src string) {
+	// Programs that take their values as parameters, mostly past the 0..255
+	// an int64 boxes into without allocating.
+	params := []struct {
+		src  string
+		a, b int64
+	}{
+		// The esc-LAB-3-P1-V1 and P3-V2 loops; f = 0 never terminates.
+		{"void f(long k, long f0) { int n = 1; long f = f0; while (f * (n + 1) <= k) { n++; f *= n; } System.out.println(n); }", 5040, 0},
+		{"void f(long k, long f0) { int n = 1; long f = f0; while (f * (n + 1) <= k) { n++; f *= n; } System.out.println(n); }", 5040, 1},
+		{"void f(int n, int m) { int count = 0; long f = 1; long i = 1; while (f <= m) { if (f >= n) count++; i++; f = f * i; } System.out.println(count); }", 1, 720},
+		{"void f(int n, int m) { int c = 0; long f = 0; long i = 1; while (f <= m) { if (f >= n && f <= m) c = c + 1; f = f * i; i = i + 1; } System.out.println(c); }", 2, 24},
+		// int64 overflow.
+		{"long f(long a, long b) { long x = a * b; x += 9223372036854775807L; return x + a; }", 1 << 40, 1 << 30},
+		// % and / by zero.
+		{"long f(long a, long b) { long q = a / (b + 1); return a % b + q; }", 700, 0},
+		{"long f(long a, long b) { long s = 0; for (long i = a; i > b; i--) s += a / i; return s; }", 300, -1},
+		// Shifts of 64 and more.
+		{"long f(long a, long b) { return (a << b) + (a >> b) + (a >>> b); }", -5000, 64},
+		{"long f(long a, long b) { long x = a; x <<= b; x >>= 70; return x ^ (a >>> (b + 1)); }", 123456789, 65},
+		// A char narrows on compound assignment.
+		{"void f(int a, int b) { char c = 'a'; c += 300; System.out.println(c); c += a; System.out.println((int) c); }", 1000, 0},
+		// A parameter reassigned to a double.
+		{"void f(int a, int b) { a = 2.5; System.out.println(a + b); a += 1; System.out.println(a); a++; System.out.println(a * b); }", 0, 700},
+		// Mixed int/double comparisons.
+		{"boolean f(long a, long b) { double d = b; System.out.println(a == d); System.out.println(a < d + 0.5); return a != b || a >= 0.5; }", 9007199254740993, 9007199254740993},
+		// Integral == and switch are exact past 2^53.
+		{"void f(long a, long b) { long x = 1; for (int i = 0; i < 53; i++) x = x * 2; long y = x + 1; System.out.println(y == x); System.out.println(y != x); System.out.println(y > x); switch (y) { case 9007199254740992L: System.out.println(a); break; default: System.out.println(b); } }", 1, 2},
+		{"void f(long a, long b) { switch (a) { case 9007199254740993L: System.out.println(\"hi\"); case 300: System.out.println(b == a); break; default: System.out.println(a - b); } }", 9007199254740993, 9007199254740992},
+	}
+	for _, p := range params {
+		f.Add(p.src, p.a, p.b)
+	}
+	f.Fuzz(func(t *testing.T, src string, a, b int64) {
 		unit, err := parser.Parse(src)
 		if err != nil {
 			return
 		}
-		cfg := interp.Config{Stdin: "1 2 3", MaxSteps: 20_000, MaxDepth: 64}
-		got, gotErr := interp.Run(unit, "f", nil, cfg)
-		want, wantErr := interp.RunTreeWalk(unit, "f", nil, cfg)
-
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("error divergence: compiled %v, tree-walk %v", gotErr, wantErr)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("error text divergence:\ncompiled:  %v\ntree-walk: %v", gotErr, wantErr)
-			}
-			return
-		}
-		if got == nil || want == nil {
-			t.Fatal("nil result without error")
-		}
-		if normalizePtrs(got.Stdout) != normalizePtrs(want.Stdout) {
-			t.Fatalf("stdout divergence:\ncompiled:  %q\ntree-walk: %q", got.Stdout, want.Stdout)
-		}
-		if interp.Snapshot(got.Return) != interp.Snapshot(want.Return) {
-			t.Fatalf("return divergence: compiled %s, tree-walk %s",
-				interp.Snapshot(got.Return), interp.Snapshot(want.Return))
-		}
-		if got.Steps != want.Steps {
-			t.Fatalf("step divergence: compiled %d, tree-walk %d", got.Steps, want.Steps)
-		}
+		checkParity(t, unit, nil)
+		checkParity(t, unit, []interp.Value{a, b})
 	})
+}
+
+// checkParity runs f(args...) on both engines and fails on any divergence.
+func checkParity(t *testing.T, unit *ast.CompilationUnit, args []interp.Value) {
+	t.Helper()
+	cfg := interp.Config{Stdin: "1 2 3", MaxSteps: 20_000, MaxDepth: 64}
+	got, gotErr := interp.Run(unit, "f", args, cfg)
+	want, wantErr := interp.RunTreeWalk(unit, "f", args, cfg)
+
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("f%v: error divergence: compiled %v, tree-walk %v", args, gotErr, wantErr)
+	}
+	if gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("f%v: error text divergence:\ncompiled:  %v\ntree-walk: %v", args, gotErr, wantErr)
+	}
+	if got == nil || want == nil {
+		t.Fatalf("f%v: nil result", args)
+	}
+	if normalizePtrs(got.Stdout) != normalizePtrs(want.Stdout) {
+		t.Fatalf("f%v: stdout divergence:\ncompiled:  %q\ntree-walk: %q", args, got.Stdout, want.Stdout)
+	}
+	if interp.Snapshot(got.Return) != interp.Snapshot(want.Return) {
+		t.Fatalf("f%v: return divergence: compiled %s, tree-walk %s",
+			args, interp.Snapshot(got.Return), interp.Snapshot(want.Return))
+	}
+	if got.Steps != want.Steps {
+		t.Fatalf("f%v: step divergence: compiled %d, tree-walk %d", args, got.Steps, want.Steps)
+	}
 }

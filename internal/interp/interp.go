@@ -97,7 +97,10 @@ func (c Config) maxDepth() int {
 	return DefaultMaxDepth
 }
 
-// Result is the outcome of a successful run.
+// Result is the outcome of a run. A run that fails with a runtime error
+// still has one, returned next to the error: Stdout is the output printed
+// before the failure, Steps counts every step taken (a run that exhausts
+// its budget reports MaxSteps+1) and Return is nil.
 type Result struct {
 	Stdout string
 	Return Value
@@ -107,7 +110,8 @@ type Result struct {
 // Run executes the entry method of the unit with the given arguments on the
 // compiled engine: the AST is lowered to closure code (see Compile) and then
 // dispatched. Callers that execute the same unit many times should Compile
-// once (or use a Cache) and call Program.Run per execution.
+// once (or use a Cache) and call Program.Run per execution. Run returns a
+// Result on failure too (see Result); check the error first.
 func Run(unit *ast.CompilationUnit, entry string, args []Value, cfg Config) (*Result, error) {
 	return Compile(unit).Run(entry, args, cfg)
 }
@@ -115,7 +119,9 @@ func Run(unit *ast.CompilationUnit, entry string, args []Value, cfg Config) (*Re
 // RunTreeWalk executes the entry method with the original tree-walking
 // evaluator. It is a test oracle, not a production engine: the differential
 // fuzzer and the parity corpus assert the compiled engine agrees with it on
-// value, output, error and step count. Grading uses Run / Program.Run.
+// value, output, error and step count, failing runs included (a failing run
+// returns its Result next to the error, as Run does). Grading uses Run /
+// Program.Run.
 func RunTreeWalk(unit *ast.CompilationUnit, entry string, args []Value, cfg Config) (res *Result, err error) {
 	obs.InterpRunsTotal.Inc()
 	m := &machine{
@@ -126,6 +132,9 @@ func RunTreeWalk(unit *ast.CompilationUnit, entry string, args []Value, cfg Conf
 		globals: map[string]Value{},
 	}
 	defer func() {
+		if err != nil {
+			res = &Result{Stdout: m.out.String(), Steps: m.steps}
+		}
 		obs.InterpStepsTotal.Add(int64(m.steps))
 		if errors.Is(err, ErrStepLimit) {
 			obs.InterpStepLimitTotal.Inc()
@@ -576,7 +585,15 @@ func coerceElem(v Value, typeName string) Value {
 	return v
 }
 
+// looseEqual is the switch case test: numbers by value, anything else by
+// ==. Two integral operands compare exactly, as in Java; a floating operand
+// promotes both to double.
 func looseEqual(a, b Value) bool {
+	if ai, aok := AsInt(a); aok {
+		if bi, bok := AsInt(b); bok {
+			return ai == bi
+		}
+	}
 	if af, aok := AsFloat(a); aok {
 		if bf, bok := AsFloat(b); bok {
 			return af == bf
@@ -585,16 +602,13 @@ func looseEqual(a, b Value) bool {
 	return a == b
 }
 
-// refEqual implements Java's == operator: numeric comparison for primitives,
-// reference comparison otherwise. Two distinct runtime String values are
-// never == (they are not interned), which is exactly the classic student bug
-// the string-field-compare pattern teaches about.
+// refEqual implements Java's == operator: numeric comparison for primitives
+// (looseEqual's), reference comparison otherwise. Two distinct runtime
+// String values are never == (they are not interned), which is exactly the
+// classic student bug the string-field-compare pattern teaches about.
 func refEqual(a, b Value) bool {
-	if af, aok := AsFloat(a); aok {
-		if bf, bok := AsFloat(b); bok {
-			return af == bf
-		}
-		return false
+	if IsNumeric(a) {
+		return looseEqual(a, b)
 	}
 	if ab, aok := a.(bool); aok {
 		bb, bok := b.(bool)

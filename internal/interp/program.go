@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,11 +32,11 @@ import (
 // execFn performs one control-flow node and returns the successor node.
 type execFn func(*vm, *cframe) (*cnode, error)
 
-// exprFn evaluates one expression subtree to a value.
-type exprFn func(*vm, *cframe) (Value, error)
+// exprFn evaluates one expression subtree to a value cell.
+type exprFn func(*vm, *cframe) (val, error)
 
-// storeFn writes a value through a compiled lvalue.
-type storeFn func(*vm, *cframe, Value) error
+// storeFn writes a value cell through a compiled lvalue.
+type storeFn func(*vm, *cframe, val) error
 
 // cnode is one compiled control-flow node. tnext is the ordinary successor;
 // fnext is the false/exit branch of conditionals and loop tests. Successor
@@ -47,21 +48,80 @@ type cnode struct {
 	fnext *cnode
 }
 
-// undefined is the sentinel filling frame slots whose declaration has not
-// executed (yet) in the current scope activation. It reproduces the
-// tree-walker's dynamic scope maps on flat slot frames: jumping past a
-// declaration (switch fallthrough, conditional declaration) leaves the slot
-// undefined, so reads fall through to outer candidates or fail with the
-// same "cannot resolve variable" error the reference engine raises.
+// val is a value cell, the unit the compiled engine computes on: frame
+// slots, globals, the return register and every closure hold cells. An
+// int64 (int, long, short, byte) lives unboxed in n, with intTag in v; any
+// other value is boxed in v as the Value the tree-walker uses. Boxing an
+// int64 past 255 allocates, so with cells the int loops of step-limited
+// runs allocate nothing. A cell is boxed only where its value leaves the
+// engine (see boxed).
+type val struct {
+	n int64
+	v Value
+}
+
+// intTag marks a cell whose int64 is in n; testing for it compares the
+// interface's type word, with no type switch.
+type intTag struct{}
+
+// intVal is the cell of an int64.
+func intVal(n int64) val { return val{n: n, v: intTag{}} }
+
+// unbox makes the cell of a Value entering the engine: an int64 goes to n.
+func unbox(x Value) val {
+	if n, ok := x.(int64); ok {
+		return intVal(n)
+	}
+	return val{v: x}
+}
+
+// unboxRes unboxes the result of a Value-typed helper (binaryOp, the
+// builtins, ...).
+func unboxRes(x Value, err error) (val, error) { return unbox(x), err }
+
+func (c val) isInt() bool {
+	_, ok := c.v.(intTag)
+	return ok
+}
+
+// boxed is the cell's Value, for where it leaves the engine: arguments of
+// builtins and library methods, array elements, tracer events, operands of
+// the Value-typed helpers and Result.Return.
+func (c val) boxed() Value {
+	if c.isInt() {
+		return c.n
+	}
+	return c.v
+}
+
+// format is Format without boxing an int.
+func (c val) format() string {
+	if c.isInt() {
+		return strconv.FormatInt(c.n, 10)
+	}
+	return Format(c.v)
+}
+
+// undefined marks frame slots whose declaration has not executed (yet) in
+// the current scope activation. It reproduces the tree-walker's dynamic
+// scope maps on flat slot frames: jumping past a declaration (switch
+// fallthrough, conditional declaration) leaves the slot undefined, so reads
+// fall through to outer candidates or fail with the same "cannot resolve
+// variable" error the reference engine raises.
 type undefined struct{}
 
-var undef Value = undefined{}
+var undef = val{v: undefined{}}
+
+func (c val) defined() bool {
+	_, u := c.v.(undefined)
+	return !u
+}
 
 // frame is one activation record of a compiled method: flat value slots
 // indexed at compile time, plus the return-value register.
 type cframe struct {
-	slots []Value
-	ret   Value
+	slots []val
+	ret   val
 }
 
 // emptyFrame backs global-initializer expressions, which can only touch
@@ -90,7 +150,7 @@ func (fn *compiledMethod) getFrame() *cframe {
 	for i := range fr.slots {
 		fr.slots[i] = undef
 	}
-	fr.ret = nil
+	fr.ret = val{}
 	return fr
 }
 
@@ -98,7 +158,7 @@ func (fn *compiledMethod) getFrame() *cframe {
 type globalInit struct {
 	slot int
 	init exprFn // nil: use zero
-	zero Value
+	zero val
 }
 
 // Program is a compiled compilation unit. It is immutable after Compile and
@@ -122,7 +182,7 @@ type vm struct {
 	maxDepth int
 	steps    int
 	depth    int
-	globals  []Value
+	globals  []val
 	out      strings.Builder
 }
 
@@ -155,7 +215,7 @@ func (v *vm) stepSlow(line int) error {
 func (p *Program) getVM(cfg Config) *vm {
 	v, _ := p.vms.Get().(*vm)
 	if v == nil {
-		v = &vm{globals: make([]Value, p.nglobals)}
+		v = &vm{globals: make([]val, p.nglobals)}
 	}
 	v.stdin = cfg.Stdin
 	v.files = cfg.Files
@@ -182,11 +242,16 @@ func (p *Program) putVM(v *vm) {
 
 // Run executes the entry method with the given arguments. It is safe to call
 // concurrently on the same Program; every run gets pooled, freshly reset
-// frames and vm state.
+// frames and vm state. A run that fails still returns its Result, with the
+// steps it took and the output it printed but no Return value, next to the
+// error.
 func (p *Program) Run(entry string, args []Value, cfg Config) (res *Result, err error) {
 	obs.InterpRunsTotal.Inc()
 	v := p.getVM(cfg)
 	defer func() {
+		if err != nil {
+			res = &Result{Stdout: v.out.String(), Steps: v.steps}
+		}
 		obs.InterpStepsTotal.Add(int64(v.steps))
 		if errors.Is(err, ErrStepLimit) {
 			obs.InterpStepLimitTotal.Inc()
@@ -199,41 +264,55 @@ func (p *Program) Run(entry string, args []Value, cfg Config) (res *Result, err 
 	v.depth = 1
 	for i := range p.inits {
 		gi := &p.inits[i]
-		val := gi.zero
+		cv := gi.zero
 		if gi.init != nil {
-			val, err = gi.init(v, emptyFrame)
-			if err != nil {
+			if cv, err = gi.init(v, emptyFrame); err != nil {
 				return nil, err
 			}
 		}
-		v.globals[gi.slot] = val
+		v.globals[gi.slot] = cv
 	}
 	v.depth = 0
 	fn, ok := p.methods[entry]
 	if !ok {
 		return nil, &RuntimeError{Msg: fmt.Sprintf("no method %q", entry)}
 	}
-	ret, err := v.invoke(fn, args)
+	if len(args) != len(fn.params) {
+		return nil, v.arityErr(fn, len(args))
+	}
+	fr := fn.getFrame()
+	for i, a := range args {
+		fr.slots[fn.params[i].slot] = unbox(a)
+	}
+	ret, err := v.invoke(fn, fr)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stdout: v.out.String(), Return: ret, Steps: v.steps}, nil
+	return &Result{Stdout: v.out.String(), Return: ret.boxed(), Steps: v.steps}, nil
 }
 
-// invoke runs a compiled method in a pooled frame via the dispatch loop.
-func (v *vm) invoke(fn *compiledMethod, args []Value) (Value, error) {
+// arityErr fails a call with the wrong number of arguments. It is raised
+// after the arguments evaluate and after the depth check, the tree-walker's
+// order.
+func (v *vm) arityErr(fn *compiledMethod, nargs int) error {
 	if v.depth > v.maxDepth {
-		return nil, &RuntimeError{Msg: "stack overflow", Line: fn.line}
+		return &RuntimeError{Msg: "stack overflow", Line: fn.line}
 	}
-	if len(args) != len(fn.params) {
-		return nil, errAt(fn.line, "method %s expects %d arguments, got %d", fn.name, len(fn.params), len(args))
+	return errAt(fn.line, "method %s expects %d arguments, got %d", fn.name, len(fn.params), nargs)
+}
+
+// invoke runs a compiled method via the dispatch loop in fr, a frame from
+// fn.getFrame whose parameter slots hold the arguments, and returns fr to
+// the pool.
+func (v *vm) invoke(fn *compiledMethod, fr *cframe) (val, error) {
+	if v.depth > v.maxDepth {
+		fn.frames.Put(fr)
+		return val{}, &RuntimeError{Msg: "stack overflow", Line: fn.line}
 	}
-	fr := fn.getFrame()
-	for i := range fn.params {
-		p := &fn.params[i]
-		fr.slots[p.slot] = args[i]
-		if v.tracer != nil {
-			v.tracer.OnAssign(fn.name, p.line, p.name, args[i])
+	if v.tracer != nil {
+		for i := range fn.params {
+			p := &fn.params[i]
+			v.tracer.OnAssign(fn.name, p.line, p.name, fr.slots[p.slot].boxed())
 		}
 	}
 	v.depth++
@@ -244,7 +323,7 @@ func (v *vm) invoke(fn *compiledMethod, args []Value) (Value, error) {
 		if err != nil {
 			v.depth--
 			fn.frames.Put(fr)
-			return nil, err
+			return val{}, err
 		}
 	}
 	v.depth--

@@ -64,7 +64,8 @@ var parityPrograms = []struct {
 }
 
 // TestCompiledParity runs the corpus through both engines and requires
-// byte-identical output, return, error, step count and trace stream.
+// byte-identical output, return, error, step count and trace stream; a
+// failing run must agree on the output and steps it got to as well.
 func TestCompiledParity(t *testing.T) {
 	for _, tc := range parityPrograms {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,20 +85,17 @@ func TestCompiledParity(t *testing.T) {
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("error divergence: compiled %v, tree-walk %v", gotErr, wantErr)
 			}
-			if gotErr != nil {
-				if gotErr.Error() != wantErr.Error() {
-					t.Fatalf("error text divergence:\ncompiled:  %v\ntree-walk: %v", gotErr, wantErr)
-				}
-			} else {
-				if got.Stdout != want.Stdout {
-					t.Errorf("stdout divergence:\ncompiled:  %q\ntree-walk: %q", got.Stdout, want.Stdout)
-				}
-				if interp.Snapshot(got.Return) != interp.Snapshot(want.Return) {
-					t.Errorf("return divergence: %s vs %s", interp.Snapshot(got.Return), interp.Snapshot(want.Return))
-				}
-				if got.Steps != want.Steps {
-					t.Errorf("step divergence: compiled %d, tree-walk %d", got.Steps, want.Steps)
-				}
+			if gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error text divergence:\ncompiled:  %v\ntree-walk: %v", gotErr, wantErr)
+			}
+			if got.Stdout != want.Stdout {
+				t.Errorf("stdout divergence:\ncompiled:  %q\ntree-walk: %q", got.Stdout, want.Stdout)
+			}
+			if interp.Snapshot(got.Return) != interp.Snapshot(want.Return) {
+				t.Errorf("return divergence: %s vs %s", interp.Snapshot(got.Return), interp.Snapshot(want.Return))
+			}
+			if got.Steps != want.Steps {
+				t.Errorf("step divergence: compiled %d, tree-walk %d", got.Steps, want.Steps)
 			}
 			if len(ct.events) != len(wt.events) {
 				t.Fatalf("trace length divergence: compiled %d, tree-walk %d\ncompiled:  %v\ntree-walk: %v",
@@ -242,6 +240,38 @@ func TestStepLimitLine(t *testing.T) {
 			t.Errorf("%s: step limit line = %d, want the loop body (3-4)", engine.name, re.Line)
 		}
 	}
+}
+
+// TestStepLimitRunAllocs gates the allocations of a run that spends its
+// whole step budget: the esc-LAB-3-P1-V1 loop with f = 0 never ends, and
+// its counter passes 255, beyond which a boxed int64 allocates. Doubling the
+// budget must not add a single allocation.
+func TestStepLimitRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const ceiling = 8
+	src := `void f(int k) { int n = 1; long f = 0; while (f * (n + 1) <= k) { n++; f *= n; } System.out.println(n); }`
+	unit, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := interp.Compile(unit)
+	args := []interp.Value{int64(5040)}
+	var allocs [2]float64
+	for i, budget := range []int{100_000, 200_000} {
+		cfg := interp.Config{MaxSteps: budget}
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			if _, err := prog.Run("f", args, cfg); !errors.Is(err, interp.ErrStepLimit) {
+				t.Fatalf("budget %d: err = %v, want ErrStepLimit", budget, err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[1] > ceiling {
+		t.Errorf("allocations per run: %.0f at 100,000 steps, %.0f at 200,000; want equal and at most %d",
+			allocs[0], allocs[1], ceiling)
+	}
+	t.Logf("%.0f allocations per step-limited run", allocs[0])
 }
 
 // TestDoneCancellation checks the Done channel aborts a compiled run with

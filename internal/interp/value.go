@@ -1,8 +1,14 @@
-// Package interp is a tree-walking interpreter for the Java subset. It
-// substitutes for the JVM in the functional-testing harness: deterministic
-// execution of intro-level programs with console capture, simulated Scanner
-// input and files, a step budget that surfaces infinite loops as errors, and
-// optional variable tracing (used by the CLARA-style baseline).
+// Package interp is an interpreter for the Java subset. It substitutes for
+// the JVM in the functional-testing harness: deterministic execution of
+// intro-level programs with console capture, simulated Scanner input and
+// files, a step budget that surfaces infinite loops as errors, and optional
+// variable tracing (used by the CLARA-style baseline).
+//
+// Programs run on a compiled engine (Compile, Program.Run, Run): the AST is
+// lowered once to closures over slot frames that carry ints unboxed. The
+// original tree-walking evaluator (RunTreeWalk) stays as its test oracle:
+// both engines must agree on output, return value, error text and step
+// count.
 package interp
 
 import (
