@@ -338,7 +338,9 @@ func NewStringArray(vals ...string) Value {
 
 // RunJava executes the entry method of src with the given arguments. A run
 // that fails at runtime returns its Result (output so far, steps taken, no
-// return value) next to the error; a syntax error returns none.
+// return value) next to the error; a syntax error returns none. A run whose
+// loop state recurs is fast-forwarded to its step limit and reports the
+// Steps of the full run.
 func RunJava(src, entry string, args []Value, cfg RunConfig) (*interp.Result, error) {
 	unit, err := parser.Parse(src)
 	if err != nil {

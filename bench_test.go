@@ -117,10 +117,39 @@ func BenchmarkInterpStepLimit(b *testing.B) {
 	}
 }
 
+// TestStepLimitWork counts the work of the BenchmarkInterpStepLimit suites:
+// the loops of P2-V2 and P3-V1 reach a state that recurs, so the compiled
+// engine fast-forwards them and executes at most 5% of the steps it
+// charges; the counters of P1-V1 and P3-V2 grow forever, so those suites
+// skip nothing.
+func TestStepLimitWork(t *testing.T) {
+	recurs := map[string]bool{"esc-LAB-3-P2-V2": true, "esc-LAB-3-P3-V1": true}
+	for _, id := range interpHeavy {
+		a := assignments.Get(id)
+		prog := firstInfiniteLoop(t, a)
+		var charged, skipped int
+		for _, c := range a.Tests.Cases {
+			cfg := interp.Config{Stdin: c.Stdin, Files: c.Files, MaxSteps: a.Tests.MaxSteps}
+			// A looping case fails with ErrStepLimit; its Result still counts.
+			res, _ := prog.Run(a.Tests.Entry, c.Args, cfg)
+			charged += res.Steps
+			skipped += res.Skipped
+		}
+		executed := charged - skipped
+		t.Logf("%s: %d steps charged, %d executed", id, charged, executed)
+		if recurs[id] && executed*20 > charged {
+			t.Errorf("%s: executed %d of %d charged steps, want at most 5%%", id, executed, charged)
+		}
+		if !recurs[id] && skipped != 0 {
+			t.Errorf("%s: skipped %d steps of a loop whose state never recurs", id, skipped)
+		}
+	}
+}
+
 // firstInfiniteLoop compiles the first submission of SampleSeed(200, 1)
 // whose verdict is InfiniteLoop.
-func firstInfiniteLoop(b *testing.B, a *assignments.Assignment) *interp.Program {
-	b.Helper()
+func firstInfiniteLoop(tb testing.TB, a *assignments.Assignment) *interp.Program {
+	tb.Helper()
 	for _, k := range a.Synth.SampleSeed(200, 1) {
 		unit, err := parser.Parse(a.Synth.Render(k))
 		if err != nil {
@@ -131,7 +160,7 @@ func firstInfiniteLoop(b *testing.B, a *assignments.Assignment) *interp.Program 
 			return prog
 		}
 	}
-	b.Fatalf("%s: no step-limited submission in the seed-1 sample", a.ID)
+	tb.Fatalf("%s: no step-limited submission in the seed-1 sample", a.ID)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,12 +32,11 @@ func demoPattern(name string) pattern.Pattern {
 func writeDef(t *testing.T, def *kb.AssignmentDef) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), def.ID+".json")
-	f, err := os.Create(path)
+	data, err := json.MarshalIndent(def, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := kb.WriteAssignmentDef(f, def); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

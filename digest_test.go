@@ -76,21 +76,53 @@ func TestSampleVerdictParity(t *testing.T) {
 	}
 	for _, a := range assignments.All() {
 		for _, k := range a.Synth.SampleSeed(200, 1)[:20] {
-			unit, err := parser.Parse(a.Synth.Render(k))
-			if err != nil {
-				continue
-			}
-			got := a.Tests.RunProgram(interp.Compile(unit))
-			want := a.Tests.RunTreeWalk(unit)
-			if got.Pass != want.Pass || got.InfiniteLoop != want.InfiniteLoop || got.Cases != want.Cases || got.Steps != want.Steps {
-				t.Errorf("%s sample %d: compiled %+v, tree-walk %+v", a.ID, k, got, want)
-				continue
-			}
-			if g, w := fmt.Sprint(got.Failures), fmt.Sprint(want.Failures); g != w {
-				t.Errorf("%s sample %d: failures differ\ncompiled:  %s\ntree-walk: %s", a.ID, k, g, w)
+			checkVerdictParity(t, a, k)
+		}
+	}
+}
+
+// TestStepLimitVerdictParity holds the compiled engine's loop fast-forward
+// to the tree-walker over the population it changes: every seed-1 sample
+// submission of the four interpreter-bound rows, which include all their
+// step-limited ones and, esc-LAB-3-P2-V2's space being smaller than the
+// sample, all 144 of that row.
+func TestStepLimitVerdictParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs step-limited submissions on the tree-walker")
+	}
+	limited := 0
+	for _, id := range interpHeavy {
+		a := assignments.Get(id)
+		for _, k := range a.Synth.SampleSeed(200, 1) {
+			if checkVerdictParity(t, a, k) {
+				limited++
 			}
 		}
 	}
+	if limited == 0 {
+		t.Fatal("no step-limited submission in the sample")
+	}
+	t.Logf("%d step-limited submissions", limited)
+}
+
+// checkVerdictParity runs one sample submission's functional tests on the
+// compiled engine and on the tree-walking oracle; the verdicts must agree
+// in every field, failure strings and the steps of failing cases included.
+// It reports whether the submission is step-limited.
+func checkVerdictParity(t *testing.T, a *assignments.Assignment, k int64) bool {
+	t.Helper()
+	unit, err := parser.Parse(a.Synth.Render(k))
+	if err != nil {
+		return false
+	}
+	got := a.Tests.RunProgram(interp.Compile(unit))
+	want := a.Tests.RunTreeWalk(unit)
+	if got.Pass != want.Pass || got.InfiniteLoop != want.InfiniteLoop || got.Cases != want.Cases || got.Steps != want.Steps {
+		t.Errorf("%s sample %d: compiled %+v, tree-walk %+v", a.ID, k, got, want)
+	} else if g, w := fmt.Sprint(got.Failures), fmt.Sprint(want.Failures); g != w {
+		t.Errorf("%s sample %d: failures differ\ncompiled:  %s\ntree-walk: %s", a.ID, k, g, w)
+	}
+	return want.InfiniteLoop
 }
 
 // writeReport feeds one graded submission to h. Strings are quoted, so no

@@ -60,8 +60,10 @@ type Verdict struct {
 	InfiniteLoop bool
 	// Cases counts the test cases executed, Steps the interpreter steps they
 	// consumed across all cases, failing cases included (a case that
-	// exhausts its budget adds MaxSteps+1): the work counters behind the
-	// functest phase's cost attribution (semfeed_phase_ns{phase="functest"}).
+	// exhausts its budget adds MaxSteps+1, also when the interpreter
+	// fast-forwards its recurring loop to the limit): the work counters
+	// behind the functest phase's cost attribution
+	// (semfeed_phase_ns{phase="functest"}).
 	Cases int
 	Steps int
 }

@@ -56,11 +56,12 @@ type loopCtx struct {
 
 // compiler lowers one method body (or one field initializer).
 type compiler struct {
-	p      *Program
-	fn     *compiledMethod
-	nslots int
-	scopes []*scopeDef
-	loops  []*loopCtx
+	p        *Program
+	fn       *compiledMethod
+	nslots   int
+	nwatches int
+	scopes   []*scopeDef
+	loops    []*loopCtx
 }
 
 func (c *compiler) pushScope() *scopeDef {
@@ -129,6 +130,13 @@ func (c *compiler) resolve(name string) varRef {
 	return ref
 }
 
+// newWatch allocates the loop watch of one while, do or for statement.
+func (c *compiler) newWatch() int {
+	wi := c.nwatches
+	c.nwatches++
+	return wi
+}
+
 func (c *compiler) pushLoop(isLoop bool) *loopCtx {
 	lc := &loopCtx{isLoop: isLoop}
 	c.loops = append(c.loops, lc)
@@ -186,14 +194,50 @@ func (c *compiler) errStmt(line int, format string, args ...any) *cnode {
 	return n
 }
 
-// condNode evaluates a boolean expression and branches: tnext when true,
-// fnext when false. The expression charges its own steps; the node itself
-// charges none (matching evalBool inside an already-stepped statement).
-func (c *compiler) condNode(e ast.Expr) *cnode {
-	ce := c.expr(e)
-	line := e.Pos().Line
+// loopEntry is the entry node of the loop with watch wi: it charges the
+// statement's step, resets the slots sc owns (nil: none) and drops the
+// loop's snapshot, so a snapshot is compared only within one entry of the
+// loop in one activation.
+func (c *compiler) loopEntry(line, wi int, sc *scopeDef) *cnode {
 	n := &cnode{}
 	n.exec = func(v *vm, fr *cframe) (*cnode, error) {
+		if err := v.step(line); err != nil {
+			return nil, err
+		}
+		if sc != nil {
+			for _, sl := range sc.owned {
+				fr.slots[sl] = undef
+			}
+		}
+		fr.watches[wi].on = false
+		return n.tnext, nil
+	}
+	return n
+}
+
+// loopHead is the node every iteration of the loop with watch wi passes
+// first. It hands the pass to the loop watch once the run is armed, then
+// evaluates the loop condition and branches: tnext when true, fnext when
+// false; with no condition (for (;;)) it always takes tnext. The condition
+// charges its own steps; the node itself charges none (matching evalBool
+// inside an already-stepped statement).
+func (c *compiler) loopHead(e ast.Expr, wi int) *cnode {
+	n := &cnode{}
+	if e == nil {
+		n.exec = func(v *vm, fr *cframe) (*cnode, error) {
+			if v.steps >= v.watchAt {
+				v.watch(&fr.watches[wi], fr)
+			}
+			return n.tnext, nil
+		}
+		return n
+	}
+	ce := c.expr(e)
+	line := e.Pos().Line
+	n.exec = func(v *vm, fr *cframe) (*cnode, error) {
+		if v.steps >= v.watchAt {
+			v.watch(&fr.watches[wi], fr)
+		}
 		cv, err := ce(v, fr)
 		if err != nil {
 			return nil, err
@@ -348,8 +392,9 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		return n, outs
 
 	case *ast.While:
-		entry := c.stepNode(line)
-		cond := c.condNode(x.Cond)
+		wi := c.newWatch()
+		entry := c.loopEntry(line, wi, nil)
+		cond := c.loopHead(x.Cond, wi)
 		entry.tnext = cond
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
@@ -361,11 +406,12 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		return entry, outs
 
 	case *ast.DoWhile:
-		entry := c.stepNode(line)
+		wi := c.newWatch()
+		entry := c.loopEntry(line, wi, nil)
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
 		lc := c.popLoop()
-		cond := c.condNode(x.Cond)
+		cond := c.loopHead(x.Cond, wi)
 		entry.tnext = bodyE
 		cond.tnext = bodyE
 		link(bodyOuts, cond)
@@ -375,16 +421,8 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 
 	case *ast.For:
 		sc := c.pushScope()
-		entry := &cnode{}
-		entry.exec = func(v *vm, fr *cframe) (*cnode, error) {
-			if err := v.step(line); err != nil {
-				return nil, err
-			}
-			for _, sl := range sc.owned {
-				fr.slots[sl] = undef
-			}
-			return entry.tnext, nil
-		}
+		wi := c.newWatch()
+		entry := c.loopEntry(line, wi, sc)
 		// Init statements run once; a break/continue inside them (legal for
 		// the tree-walker only as propagation out of the For) is compiled
 		// outside this loop's context for the same effect.
@@ -394,11 +432,8 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			link(cur, e)
 			cur = o
 		}
-		var cond *cnode
-		if x.Cond != nil {
-			cond = c.condNode(x.Cond)
-			link(cur, cond)
-		}
+		head := c.loopHead(x.Cond, wi)
+		link(cur, head)
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
 		lc := c.popLoop()
@@ -426,25 +461,18 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			}
 			updOuts = []jump{{un, false}}
 		}
-		var loopHead *cnode
-		if cond != nil {
-			loopHead = cond
-			cond.tnext = bodyE
-		} else {
-			loopHead = bodyE
-			link(cur, bodyE)
-		}
-		backEdge := loopHead
+		head.tnext = bodyE
+		backEdge := head
 		if updFirst != nil {
 			backEdge = updFirst
-			link(updOuts, loopHead)
+			link(updOuts, head)
 		}
 		link(bodyOuts, backEdge)
 		link(lc.conts, backEdge)
 		c.popScope()
 		outs := lc.breaks
-		if cond != nil {
-			outs = append(outs, jump{cond, true})
+		if x.Cond != nil {
+			outs = append(outs, jump{head, true})
 		}
 		return entry, outs
 
@@ -703,6 +731,8 @@ func compileMethod(p *Program, meth *ast.Method) {
 	c.popScope()
 	fn.entry = entry
 	fn.nslots = c.nslots
-	nslots := c.nslots
-	fn.frames.New = func() any { return &cframe{slots: make([]val, nslots)} }
+	nslots, nwatches := c.nslots, c.nwatches
+	fn.frames.New = func() any {
+		return &cframe{slots: make([]val, nslots), watches: make([]loopWatch, nwatches)}
+	}
 }

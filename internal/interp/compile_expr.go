@@ -82,14 +82,20 @@ func narrowVal(old, nv val) val {
 	return unbox(narrowCompound(old.boxed(), nv.boxed()))
 }
 
+// isIntegral reports whether values of the named type are int64s.
+func isIntegral(typeName string) bool {
+	switch typeName {
+	case "int", "long", "byte", "short":
+		return true
+	}
+	return false
+}
+
 // coerceVal is coerceElem on a cell; coerceElem is the identity on an
 // int64 bound for an integral type.
 func coerceVal(cv val, typeName string) val {
-	if cv.isInt() {
-		switch typeName {
-		case "int", "long", "byte", "short":
-			return cv
-		}
+	if cv.isInt() && isIntegral(typeName) {
+		return cv
 	}
 	return unbox(coerceElem(cv.boxed(), typeName))
 }
@@ -537,6 +543,22 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 	case *ast.Cast:
 		xf := c.expr(x.X)
 		to := x.To
+		if to.Dims == 0 && isIntegral(to.Name) {
+			// castValue's int64 and float64 cases, on cells.
+			return func(v *vm, fr *cframe) (val, error) {
+				if err := v.step(line); err != nil {
+					return val{}, err
+				}
+				cv, err := xf(v, fr)
+				if err != nil || cv.isInt() {
+					return cv, err
+				}
+				if f, ok := cv.v.(float64); ok {
+					return intVal(int64(f)), nil
+				}
+				return unboxRes(castValue(cv.boxed(), to, line))
+			}
+		}
 		return func(v *vm, fr *cframe) (val, error) {
 			if err := v.step(line); err != nil {
 				return val{}, err
@@ -656,6 +678,7 @@ func (c *compiler) lvalue(target ast.Expr) storeFn {
 				return err
 			}
 			arr.Elems[i] = coerceVal(cv, arr.Elem).boxed()
+			v.heapWrites++
 			if rootName != "" && v.tracer != nil {
 				v.tracer.OnAssign(mname, line, rootName, arr)
 			}
@@ -701,6 +724,7 @@ func (c *compiler) call(x *ast.Call) exprFn {
 		if dispatch != nil {
 			argFns := c.exprList(x.Args)
 			name := x.Name
+			sorts := recv.Name == "Arrays" && name == "sort"
 			return func(v *vm, fr *cframe) (val, error) {
 				if err := v.step(line); err != nil {
 					return val{}, err
@@ -708,6 +732,9 @@ func (c *compiler) call(x *ast.Call) exprFn {
 				args, err := evalAll(v, fr, argFns)
 				if err != nil {
 					return val{}, err
+				}
+				if sorts {
+					v.heapWrites++
 				}
 				return unboxRes(dispatch(name, args, line))
 			}
@@ -760,6 +787,7 @@ func (c *compiler) call(x *ast.Call) exprFn {
 		switch rv := r.v.(type) {
 		case *Scanner:
 			// Scanner methods never evaluate call arguments.
+			v.heapWrites++
 			return unboxRes(scannerCall(rv, name, line))
 		case string:
 			args, err := evalAll(v, fr, argFns)

@@ -100,6 +100,23 @@ func FuzzRun(f *testing.F) {
 		// Integral == and switch are exact past 2^53.
 		{"void f(long a, long b) { long x = 1; for (int i = 0; i < 53; i++) x = x * 2; long y = x + 1; System.out.println(y == x); System.out.println(y != x); System.out.println(y > x); switch (y) { case 9007199254740992L: System.out.println(a); break; default: System.out.println(b); } }", 1, 2},
 		{"void f(long a, long b) { switch (a) { case 9007199254740993L: System.out.println(\"hi\"); case 300: System.out.println(b == a); break; default: System.out.println(a - b); } }", 9007199254740993, 9007199254740992},
+		// Loops whose state recurs, which the compiled engine fast-forwards
+		// to the step limit: the esc-LAB-3-P2-V2 and P3-V1 loops, a period
+		// of two iterations, -0.0 against 0.0, a NaN accumulator, a global,
+		// do and for (;;) heads, an empty print; and loops it must run in
+		// full: an array store, a Scanner read, a growing global.
+		{"void f(int a, int b) { int s = 0; int t = a; while (t >= 0) { int d = t % 10; s += d * d * d; t /= 10; } System.out.println(s == a); }", 153, 0},
+		{"void f(int a, int b) { int s = 0; int t = a; while (t >= 0) { int d = t % 10; s += (int) Math.pow(d, 3); t /= 10; } System.out.println(s); }", 9474, 0},
+		{"void f(int a, int b) { int r = 1; int t = a; while (t >= 0) { r = r * 10 + t % 10; t /= 10; } System.out.println(r - a); }", 12345, 0},
+		{"void f(int a, int b) { int x = a; while (b >= 0) { if (x == a) { x = b; } else { x = a; } } }", 7, 3},
+		{"void f(int a, int b) { double x = 0.0; while (a >= 0) { x = -x; if (1 / x > 0) { b++; b--; } } }", 1, 0},
+		{"void f(int a, int b) { double s = 0.0 / 0.0; while (a >= 0) { s += a; a /= 10; } System.out.println(s); }", 907, 0},
+		{"class A { static int g = 0; void f(int a, int b) { while (a >= 0) { g = b - g; a /= 10; } } }", 55, 1},
+		{"void f(int a, int b) { do { a /= 10; System.out.print(\"\"); } while (a >= b); }", 123, 0},
+		{"void f(int a, int b) { for (;;) { a = a / 10 + b; } }", 99, 0},
+		{"void f(int a, int b) { int[] x = new int[2]; while (a >= 0) { x[b] = a; a /= 10; } }", 4321, 1},
+		{"void f(int a, int b) { Scanner sc = new Scanner(System.in); while (a >= 0) { if (sc.hasNextInt()) { b += sc.nextInt(); } } }", 0, 0},
+		{"class A { static int g = 0; void f(int a, int b) { while (a >= 0) { g++; if (g == a) { System.out.print(b); } } } }", 300, 42},
 	}
 	for _, p := range params {
 		f.Add(p.src, p.a, p.b)
@@ -109,15 +126,16 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkParity(t, unit, nil)
-		checkParity(t, unit, []interp.Value{a, b})
+		cfg := interp.Config{Stdin: "1 2 3", MaxSteps: 20_000, MaxDepth: 64}
+		checkParity(t, unit, nil, cfg)
+		checkParity(t, unit, []interp.Value{a, b}, cfg)
 	})
 }
 
 // checkParity runs f(args...) on both engines and fails on any divergence.
-func checkParity(t *testing.T, unit *ast.CompilationUnit, args []interp.Value) {
+// It returns the compiled engine's result.
+func checkParity(t *testing.T, unit *ast.CompilationUnit, args []interp.Value, cfg interp.Config) *interp.Result {
 	t.Helper()
-	cfg := interp.Config{Stdin: "1 2 3", MaxSteps: 20_000, MaxDepth: 64}
 	got, gotErr := interp.Run(unit, "f", args, cfg)
 	want, wantErr := interp.RunTreeWalk(unit, "f", args, cfg)
 
@@ -140,4 +158,5 @@ func checkParity(t *testing.T, unit *ast.CompilationUnit, args []interp.Value) {
 	if got.Steps != want.Steps {
 		t.Fatalf("f%v: step divergence: compiled %d, tree-walk %d", args, got.Steps, want.Steps)
 	}
+	return got
 }

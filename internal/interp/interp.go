@@ -104,7 +104,12 @@ func (c Config) maxDepth() int {
 type Result struct {
 	Stdout string
 	Return Value
-	Steps  int
+	// Steps counts the steps charged against the budget. A run the compiled
+	// engine fast-forwards reports the Steps of the full run.
+	Steps int
+	// Skipped is the part of Steps that loop fast-forward charged without
+	// executing (see Program.Run); always 0 on the tree-walker.
+	Skipped int
 }
 
 // Run executes the entry method of the unit with the given arguments on the

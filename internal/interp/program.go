@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,10 +119,12 @@ func (c val) defined() bool {
 }
 
 // frame is one activation record of a compiled method: flat value slots
-// indexed at compile time, plus the return-value register.
+// indexed at compile time, the return-value register and one recurrence
+// watch per loop of the method.
 type cframe struct {
-	slots []val
-	ret   val
+	slots   []val
+	ret     val
+	watches []loopWatch
 }
 
 // emptyFrame backs global-initializer expressions, which can only touch
@@ -172,7 +175,8 @@ type Program struct {
 }
 
 // vm is the mutable state of one Run: the step/depth budgets, console
-// output, global slots and the run's configuration.
+// output, global slots, the run's configuration and the loop watch's
+// counters.
 type vm struct {
 	stdin    string
 	files    map[string]string
@@ -184,6 +188,11 @@ type vm struct {
 	depth    int
 	globals  []val
 	out      strings.Builder
+
+	heapWrites int // array-element stores, Scanner calls and Arrays.sort
+	watchAt    int // steps from which loop heads are watched; MaxInt: never
+	watchLeft  int // snapshots and compares the run may still spend
+	skipped    int // steps charged by fastForward without executing them
 }
 
 // step charges one fuel unit at the given source line, failing the run on
@@ -226,6 +235,13 @@ func (p *Program) getVM(cfg Config) *vm {
 	v.steps = 0
 	v.depth = 0
 	v.out.Reset()
+	v.heapWrites = 0
+	v.skipped = 0
+	v.watchLeft = watchMaxChecks
+	v.watchAt = watchArmSteps
+	if cfg.Tracer != nil {
+		v.watchAt = math.MaxInt
+	}
 	for i := range v.globals {
 		v.globals[i] = undef
 	}
@@ -244,15 +260,18 @@ func (p *Program) putVM(v *vm) {
 // concurrently on the same Program; every run gets pooled, freshly reset
 // frames and vm state. A run that fails still returns its Result, with the
 // steps it took and the output it printed but no Return value, next to the
-// error.
+// error. A run whose loop state recurs is fast-forwarded to its step limit
+// (see loopWatch): it fails with the Steps, output and error of the full
+// run, and Result.Skipped counts the steps it did not execute.
 func (p *Program) Run(entry string, args []Value, cfg Config) (res *Result, err error) {
 	obs.InterpRunsTotal.Inc()
 	v := p.getVM(cfg)
 	defer func() {
 		if err != nil {
-			res = &Result{Stdout: v.out.String(), Steps: v.steps}
+			res = &Result{Stdout: v.out.String(), Steps: v.steps, Skipped: v.skipped}
 		}
 		obs.InterpStepsTotal.Add(int64(v.steps))
+		obs.InterpStepsSkippedTotal.Add(int64(v.skipped))
 		if errors.Is(err, ErrStepLimit) {
 			obs.InterpStepLimitTotal.Inc()
 		}

@@ -133,13 +133,17 @@ func TestProgramReuse(t *testing.T) {
 }
 
 // TestProgramConcurrent hammers one Program and one Cache from many
-// goroutines, the BatchGrader worker shape; run with -race.
+// goroutines, the BatchGrader worker shape; run with -race. The last
+// source's loop recurs, so its step-limited runs are fast-forwarded and
+// exercise the loop watches of pooled frames.
 func TestProgramConcurrent(t *testing.T) {
 	srcs := []string{
 		`int f(int x) { int s = 0; for (int i = 0; i < x; i++) { s += i; } return s; }`,
 		`int f(int x) { if (x % 2 == 0) return x / 2; return 3 * x + 1; }`,
 		`int f(int x) { int[] a = new int[x]; for (int i = 0; i < x; i++) a[i] = i; int s = 0; for (int v : a) s += v; return s; }`,
+		`int f(int x) { int s = 0; int t = x; while (t >= 0) { int d = t % 10; s += d * d * d; t /= 10; } return s; }`,
 	}
+	cfg := interp.Config{MaxSteps: 5_000}
 	cache := interp.NewCache(8)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -154,14 +158,11 @@ func TestProgramConcurrent(t *testing.T) {
 					return
 				}
 				prog, _ := cache.CompileCached(src, unit)
-				res, err := prog.Run("f", []interp.Value{int64(10)}, interp.Config{})
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				wantRet, wantErr := interp.RunTreeWalk(unit, "f", []interp.Value{int64(10)}, interp.Config{})
-				if wantErr != nil || res.Return != wantRet.Return {
-					t.Errorf("worker %d divergence: %v vs %v (%v)", w, res.Return, wantRet.Return, wantErr)
+				res, err := prog.Run("f", []interp.Value{int64(10)}, cfg)
+				want, wantErr := interp.RunTreeWalk(unit, "f", []interp.Value{int64(10)}, cfg)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || res.Return != want.Return || res.Steps != want.Steps {
+					t.Errorf("worker %d divergence: %v, %d steps, %v vs %v, %d steps, %v",
+						w, res.Return, res.Steps, err, want.Return, want.Steps, wantErr)
 					return
 				}
 			}

@@ -2,6 +2,7 @@ package kb_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -65,14 +66,14 @@ func TestAssignmentDefAnalyzers(t *testing.T) {
 
 func TestAssignmentDefAnalyzersRoundTrip(t *testing.T) {
 	def := minimalDef([]string{"usebeforedef", "constcond"})
-	var buf bytes.Buffer
-	if err := kb.WriteAssignmentDef(&buf, def); err != nil {
+	data, err := json.MarshalIndent(def, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"analyzers"`) {
-		t.Fatalf("serialized definition lacks analyzers field:\n%s", buf.String())
+	if !bytes.Contains(data, []byte(`"analyzers"`)) {
+		t.Fatalf("serialized definition lacks analyzers field:\n%s", data)
 	}
-	back, err := kb.ReadAssignmentDef(&buf)
+	back, err := kb.ReadAssignmentDef(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +93,14 @@ func TestAssignmentDefAnalyzersOptOutRoundTrip(t *testing.T) {
 	// An explicit empty list (analysis disabled) must survive
 	// serialize -> read -> Compile without silently re-enabling the
 	// inherited grader default.
-	var buf bytes.Buffer
-	if err := kb.WriteAssignmentDef(&buf, minimalDef([]string{})); err != nil {
+	data, err := json.MarshalIndent(minimalDef([]string{}), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"analyzers": []`) {
-		t.Fatalf("serialized opt-out lacks explicit empty analyzers list:\n%s", buf.String())
+	if !bytes.Contains(data, []byte(`"analyzers": []`)) {
+		t.Fatalf("serialized opt-out lacks explicit empty analyzers list:\n%s", data)
 	}
-	back, err := kb.ReadAssignmentDef(&buf)
+	back, err := kb.ReadAssignmentDef(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,13 +75,6 @@ func ReadAssignmentDef(r io.Reader) (*AssignmentDef, error) {
 	return &def, nil
 }
 
-// WriteAssignmentDef encodes the definition as indented JSON.
-func WriteAssignmentDef(w io.Writer, def *AssignmentDef) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(def)
-}
-
 // Compile resolves and validates the definition into a grading spec. Every
 // violation is collected — unknown pattern references, negative counts, bad
 // inline patterns, constraints whose cross-references do not resolve — so

@@ -4,7 +4,7 @@
 //
 // The knowledge base is data, embedded from builtin/:
 //
-//   - catalog.json: the 24 patterns, in pattern.WriteAll's format;
+//   - catalog.json: the 24 patterns, a JSON array in pattern.ReadAll's format;
 //   - extensions.json: the Section VII extension patterns, same format;
 //   - assignments/<id>.json: one AssignmentDef per Table I assignment, the
 //     same file format semfeedd hot-loads from its KB directory.

@@ -37,9 +37,10 @@ var (
 	ConstraintCombosTotal = NewCounter("semfeed_constraint_combos_total", "Embedding combinations examined by constraint checks.")
 
 	// Interpreter (functional testing back end).
-	InterpRunsTotal      = NewCounter("semfeed_interp_runs_total", "Interpreter executions.")
-	InterpStepsTotal     = NewCounter("semfeed_interp_steps_total", "Interpreter steps executed.")
-	InterpStepLimitTotal = NewCounter("semfeed_interp_step_limit_total", "Executions killed by fuel exhaustion (step budget).")
+	InterpRunsTotal         = NewCounter("semfeed_interp_runs_total", "Interpreter executions.")
+	InterpStepsTotal        = NewCounter("semfeed_interp_steps_total", "Interpreter steps charged against the step budget, executed or fast-forwarded.")
+	InterpStepsSkippedTotal = NewCounter("semfeed_interp_steps_skipped_total", "Interpreter steps charged by loop fast-forward without being executed (part of semfeed_interp_steps_total).")
+	InterpStepLimitTotal    = NewCounter("semfeed_interp_step_limit_total", "Executions killed by fuel exhaustion (step budget).")
 
 	// Closure compilation of the interpreter hot path.
 	InterpCompileNS          = NewCounter("semfeed_interp_compile_ns", "Wall time spent lowering ASTs to closure code, in nanoseconds.")

@@ -24,10 +24,3 @@ func ReadAll(r io.Reader) ([]*Compiled, error) {
 	}
 	return out, nil
 }
-
-// WriteAll encodes patterns as an indented JSON array.
-func WriteAll(w io.Writer, ps []*Pattern) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ps)
-}

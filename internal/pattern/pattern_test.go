@@ -2,6 +2,7 @@ package pattern_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -103,12 +104,11 @@ func TestRenderFeedback(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	ps := []*pattern.Pattern{valid()}
-	var buf bytes.Buffer
-	if err := pattern.WriteAll(&buf, ps); err != nil {
+	data, err := json.MarshalIndent([]*pattern.Pattern{valid()}, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pattern.ReadAll(&buf)
+	got, err := pattern.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
