@@ -117,13 +117,13 @@ func BenchmarkInterpStepLimit(b *testing.B) {
 	}
 }
 
-// TestStepLimitWork counts the work of the BenchmarkInterpStepLimit suites:
-// the loops of P2-V2 and P3-V1 reach a state that recurs, so the compiled
-// engine fast-forwards them and executes at most 5% of the steps it
-// charges; the counters of P1-V1 and P3-V2 grow forever, so those suites
-// skip nothing.
+// TestStepLimitWork counts the work of the BenchmarkInterpStepLimit suites.
+// The loops of P2-V2 and P3-V1 reach a state that recurs; those of P1-V1
+// and P3-V2 recur but for a counter that drifts by one per iteration while
+// the product it feeds stays 0. The compiled engine fast-forwards all four
+// and executes at most 5% of the steps it charges. TestFastForward holds
+// the loops it must not skip.
 func TestStepLimitWork(t *testing.T) {
-	recurs := map[string]bool{"esc-LAB-3-P2-V2": true, "esc-LAB-3-P3-V1": true}
 	for _, id := range interpHeavy {
 		a := assignments.Get(id)
 		prog := firstInfiniteLoop(t, a)
@@ -137,11 +137,8 @@ func TestStepLimitWork(t *testing.T) {
 		}
 		executed := charged - skipped
 		t.Logf("%s: %d steps charged, %d executed", id, charged, executed)
-		if recurs[id] && executed*20 > charged {
+		if executed*20 > charged {
 			t.Errorf("%s: executed %d of %d charged steps, want at most 5%%", id, executed, charged)
-		}
-		if !recurs[id] && skipped != 0 {
-			t.Errorf("%s: skipped %d steps of a loop whose state never recurs", id, skipped)
 		}
 	}
 }

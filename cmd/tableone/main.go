@@ -75,7 +75,9 @@ func main() {
 	fmt.Println("\nD(eval) counts functional-vs-feedback disagreements among evaluated submissions;")
 	fmt.Println("D(scaled) extrapolates to the full space when sampling. Absolute times are not")
 	fmt.Println("comparable to the paper's 2006-era hardware; the claims are M in the millisecond")
-	fmt.Println("range, T >= M, and D << S.")
+	fmt.Println("range and D << S. The paper's T >= M comes from its JVM harness's fixed costs and")
+	fmt.Println("timeouts; here T is interpreter time, and a loop that can never end is skipped to")
+	fmt.Println("its step limit, so T falls below M on most rows.")
 
 	if *jsonOut {
 		f, err := os.Create(*jsonPath)

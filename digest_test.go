@@ -14,6 +14,7 @@ import (
 
 	"semfeed/internal/assignments"
 	"semfeed/internal/core"
+	"semfeed/internal/functest"
 	"semfeed/internal/interp"
 	"semfeed/internal/java/parser"
 )
@@ -85,35 +86,43 @@ func TestSampleVerdictParity(t *testing.T) {
 // to the tree-walker over the population it changes: every seed-1 sample
 // submission of the four interpreter-bound rows, which include all their
 // step-limited ones and, esc-LAB-3-P2-V2's space being smaller than the
-// sample, all 144 of that row.
+// sample, all 144 of that row. Over each row's step-limited submissions,
+// the compiled engine must execute at most 5% of the steps it charges.
 func TestStepLimitVerdictParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs step-limited submissions on the tree-walker")
 	}
-	limited := 0
 	for _, id := range interpHeavy {
 		a := assignments.Get(id)
+		limited, charged, skipped := 0, 0, 0
 		for _, k := range a.Synth.SampleSeed(200, 1) {
-			if checkVerdictParity(t, a, k) {
+			if v := checkVerdictParity(t, a, k); v.InfiniteLoop {
 				limited++
+				charged += v.Steps
+				skipped += v.Skipped
 			}
 		}
+		executed := charged - skipped
+		t.Logf("%s: %d step-limited submissions, %d steps charged, %d executed", id, limited, charged, executed)
+		if limited == 0 {
+			t.Errorf("%s: no step-limited submission in the sample", id)
+		}
+		if executed*20 > charged {
+			t.Errorf("%s: executed %d of %d charged steps, want at most 5%%", id, executed, charged)
+		}
 	}
-	if limited == 0 {
-		t.Fatal("no step-limited submission in the sample")
-	}
-	t.Logf("%d step-limited submissions", limited)
 }
 
 // checkVerdictParity runs one sample submission's functional tests on the
 // compiled engine and on the tree-walking oracle; the verdicts must agree
 // in every field, failure strings and the steps of failing cases included.
-// It reports whether the submission is step-limited.
-func checkVerdictParity(t *testing.T, a *assignments.Assignment, k int64) bool {
+// It returns the compiled engine's verdict (zero for a source that does not
+// parse).
+func checkVerdictParity(t *testing.T, a *assignments.Assignment, k int64) functest.Verdict {
 	t.Helper()
 	unit, err := parser.Parse(a.Synth.Render(k))
 	if err != nil {
-		return false
+		return functest.Verdict{}
 	}
 	got := a.Tests.RunProgram(interp.Compile(unit))
 	want := a.Tests.RunTreeWalk(unit)
@@ -122,7 +131,7 @@ func checkVerdictParity(t *testing.T, a *assignments.Assignment, k int64) bool {
 	} else if g, w := fmt.Sprint(got.Failures), fmt.Sprint(want.Failures); g != w {
 		t.Errorf("%s sample %d: failures differ\ncompiled:  %s\ntree-walk: %s", a.ID, k, g, w)
 	}
-	return want.InfiniteLoop
+	return got
 }
 
 // writeReport feeds one graded submission to h. Strings are quoted, so no

@@ -76,6 +76,12 @@ type Row struct {
 	// from. T itself is pure execution time.
 	CompileTime     time.Duration `json:"compile_ns"`
 	InterpCacheHits int64         `json:"interp_cache_hits"`
+	// Mean interpreter steps per submission across its functional tests:
+	// charged against the budgets (Verdict.Steps), and the part of those
+	// loop fast-forward skipped (Verdict.Skipped). Their difference is the
+	// executed work behind T.
+	AvgInterpSteps        float64 `json:"avg_interp_steps"`
+	AvgInterpStepsSkipped float64 `json:"avg_interp_steps_skipped"`
 
 	// Static-analysis overhead, measured only when Options.Analysis is set:
 	// mean per-submission analyzer-driver time (a slice of M's wall clock)
@@ -144,13 +150,17 @@ func MeasureRowOpts(a *assignments.Assignment, opts Options) Row {
 	cache := interp.NewCache(0)
 	verdicts := make([]bool, len(units))
 	var funcTotal, compileTotal time.Duration
+	var steps, skipped int
 	for i, unit := range units {
 		c0 := time.Now()
 		prog, _ := cache.CompileCached(srcs[i], unit)
 		compileTotal += time.Since(c0)
 		t0 := time.Now()
-		verdicts[i] = a.Tests.RunProgram(prog).Pass
+		v := a.Tests.RunProgram(prog)
 		funcTotal += time.Since(t0)
+		verdicts[i] = v.Pass
+		steps += v.Steps
+		skipped += v.Skipped
 	}
 	obs.PhaseNS.Add(funcTotal.Nanoseconds(), a.ID, "functest")
 	if compileTotal > 0 {
@@ -218,6 +228,8 @@ func MeasureRowOpts(a *assignments.Assignment, opts Options) Row {
 		row.CompileTime = compileTotal / time.Duration(n)
 		row.M = matchTotal / time.Duration(n)
 		fn := float64(n)
+		row.AvgInterpSteps = float64(steps) / fn
+		row.AvgInterpStepsSkipped = float64(skipped) / fn
 		row.AvgMatchSteps = float64(work.MatchSteps) / fn
 		row.AvgMatchBacktracks = float64(work.MatchBacktracks) / fn
 		row.AvgEmbeddings = float64(work.Embeddings) / fn

@@ -59,13 +59,15 @@ type Verdict struct {
 	// mode dynamic graders cannot distinguish from slowness.
 	InfiniteLoop bool
 	// Cases counts the test cases executed, Steps the interpreter steps they
-	// consumed across all cases, failing cases included (a case that
+	// were charged across all cases, failing cases included (a case that
 	// exhausts its budget adds MaxSteps+1, also when the interpreter
-	// fast-forwards its recurring loop to the limit): the work counters
-	// behind the functest phase's cost attribution
+	// fast-forwards its loop to the limit), and Skipped the part of Steps
+	// fast-forward charged without executing (the sum of Result.Skipped):
+	// the work counters behind the functest phase's cost attribution
 	// (semfeed_phase_ns{phase="functest"}).
-	Cases int
-	Steps int
+	Cases   int
+	Steps   int
+	Skipped int
 }
 
 // Run executes the suite against a parsed submission. The unit is compiled
@@ -104,6 +106,7 @@ func (s *Suite) runCases(run func([]interp.Value, interp.Config) (*interp.Result
 		v.Cases++
 		if res != nil {
 			v.Steps += res.Steps
+			v.Skipped += res.Skipped
 		}
 		if err != nil {
 			v.Pass = false

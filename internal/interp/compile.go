@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"sync"
+
 	"semfeed/internal/java/ast"
 )
 
@@ -62,6 +64,12 @@ type compiler struct {
 	nwatches int
 	scopes   []*scopeDef
 	loops    []*loopCtx
+
+	// refs holds the resolution of every identifier compiled inside a
+	// while, do or for statement, for the loops' drift classification
+	// (drift.go); loopDepth counts the enclosing such statements.
+	refs      map[*ast.Ident]varRef
+	loopDepth int
 }
 
 func (c *compiler) pushScope() *scopeDef {
@@ -117,24 +125,52 @@ func (r varRef) read(v *vm, fr *cframe) (val, bool) {
 	return val{}, false
 }
 
-func (c *compiler) resolve(name string) varRef {
+// resolve resolves an identifier against the current scopes.
+func (c *compiler) resolve(id *ast.Ident) varRef {
 	ref := varRef{global: -1}
 	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i].names[name]; ok {
+		if s, ok := c.scopes[i].names[id.Name]; ok {
 			ref.slots = append(ref.slots, s)
 		}
 	}
-	if g, ok := c.p.globalIndex[name]; ok {
+	if g, ok := c.p.globalIndex[id.Name]; ok {
 		ref.global = g
+	}
+	if c.loopDepth > 0 {
+		if c.refs == nil {
+			c.refs = refsPool.Get().(map[*ast.Ident]varRef)
+		}
+		c.refs[id] = ref
 	}
 	return ref
 }
 
-// newWatch allocates the loop watch of one while, do or for statement.
-func (c *compiler) newWatch() int {
-	wi := c.nwatches
+// refsPool recycles the compilers' refs maps, which die with the method's
+// compilation.
+var refsPool = sync.Pool{New: func() any { return map[*ast.Ident]varRef{} }}
+
+// loopSite is one while, do or for statement: the index of its watch in
+// the frame, and what the compiler proved about the slots of its loop,
+// set once the loop's code is compiled.
+type loopSite struct {
+	watch int
+	drift loopDrift
+}
+
+// newLoop allocates the loop watch of one while, do or for statement;
+// endLoop classifies the loop once its code is compiled.
+func (c *compiler) newLoop() *loopSite {
+	site := &loopSite{watch: c.nwatches}
 	c.nwatches++
-	return wi
+	c.loopDepth++
+	return site
+}
+
+// endLoop classifies the loop of site, whose condition, body and update
+// run each period and whose first slot declared inside is bodyStart.
+func (c *compiler) endLoop(site *loopSite, bodyStart int, cond ast.Expr, body ast.Stmt, update []ast.Expr) {
+	c.loopDepth--
+	site.drift = c.driftOf(bodyStart, cond, body, update)
 }
 
 func (c *compiler) pushLoop(isLoop bool) *loopCtx {
@@ -215,18 +251,19 @@ func (c *compiler) loopEntry(line, wi int, sc *scopeDef) *cnode {
 	return n
 }
 
-// loopHead is the node every iteration of the loop with watch wi passes
-// first. It hands the pass to the loop watch once the run is armed, then
+// loopHead is the node every iteration of the loop of site passes first.
+// It hands the pass to the loop watch once the run is armed, then
 // evaluates the loop condition and branches: tnext when true, fnext when
 // false; with no condition (for (;;)) it always takes tnext. The condition
 // charges its own steps; the node itself charges none (matching evalBool
 // inside an already-stepped statement).
-func (c *compiler) loopHead(e ast.Expr, wi int) *cnode {
+func (c *compiler) loopHead(e ast.Expr, site *loopSite) *cnode {
 	n := &cnode{}
+	wi := site.watch
 	if e == nil {
 		n.exec = func(v *vm, fr *cframe) (*cnode, error) {
 			if v.steps >= v.watchAt {
-				v.watch(&fr.watches[wi], fr)
+				v.watch(&fr.watches[wi], fr, &site.drift)
 			}
 			return n.tnext, nil
 		}
@@ -236,7 +273,7 @@ func (c *compiler) loopHead(e ast.Expr, wi int) *cnode {
 	line := e.Pos().Line
 	n.exec = func(v *vm, fr *cframe) (*cnode, error) {
 		if v.steps >= v.watchAt {
-			v.watch(&fr.watches[wi], fr)
+			v.watch(&fr.watches[wi], fr, &site.drift)
 		}
 		cv, err := ce(v, fr)
 		if err != nil {
@@ -392,13 +429,15 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		return n, outs
 
 	case *ast.While:
-		wi := c.newWatch()
-		entry := c.loopEntry(line, wi, nil)
-		cond := c.loopHead(x.Cond, wi)
+		site := c.newLoop()
+		bodyStart := c.nslots
+		entry := c.loopEntry(line, site.watch, nil)
+		cond := c.loopHead(x.Cond, site)
 		entry.tnext = cond
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
 		lc := c.popLoop()
+		c.endLoop(site, bodyStart, x.Cond, x.Body, nil)
 		cond.tnext = bodyE
 		link(bodyOuts, cond)
 		link(lc.conts, cond)
@@ -406,12 +445,14 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		return entry, outs
 
 	case *ast.DoWhile:
-		wi := c.newWatch()
-		entry := c.loopEntry(line, wi, nil)
+		site := c.newLoop()
+		bodyStart := c.nslots
+		entry := c.loopEntry(line, site.watch, nil)
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
 		lc := c.popLoop()
-		cond := c.loopHead(x.Cond, wi)
+		cond := c.loopHead(x.Cond, site)
+		c.endLoop(site, bodyStart, x.Cond, x.Body, nil)
 		entry.tnext = bodyE
 		cond.tnext = bodyE
 		link(bodyOuts, cond)
@@ -421,8 +462,8 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 
 	case *ast.For:
 		sc := c.pushScope()
-		wi := c.newWatch()
-		entry := c.loopEntry(line, wi, sc)
+		site := c.newLoop()
+		entry := c.loopEntry(line, site.watch, sc)
 		// Init statements run once; a break/continue inside them (legal for
 		// the tree-walker only as propagation out of the For) is compiled
 		// outside this loop's context for the same effect.
@@ -432,7 +473,10 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 			link(cur, e)
 			cur = o
 		}
-		head := c.loopHead(x.Cond, wi)
+		// Init runs once per entry, before the first head pass; slots it
+		// declares may drift.
+		bodyStart := c.nslots
+		head := c.loopHead(x.Cond, site)
 		link(cur, head)
 		c.pushLoop(true)
 		bodyE, bodyOuts := c.stmt(x.Body)
@@ -469,6 +513,7 @@ func (c *compiler) stmt(s ast.Stmt) (*cnode, []jump) {
 		}
 		link(bodyOuts, backEdge)
 		link(lc.conts, backEdge)
+		c.endLoop(site, bodyStart, x.Cond, x.Body, x.Update)
 		c.popScope()
 		outs := lc.breaks
 		if x.Cond != nil {
@@ -729,6 +774,10 @@ func compileMethod(p *Program, meth *ast.Method) {
 	}
 	entry, _ := c.stmt(meth.Body)
 	c.popScope()
+	if c.refs != nil {
+		clear(c.refs)
+		refsPool.Put(c.refs)
+	}
 	fn.entry = entry
 	fn.nslots = c.nslots
 	nslots, nwatches := c.nslots, c.nwatches

@@ -150,7 +150,7 @@ type fuseOp struct {
 func (c *compiler) fuseOperand(e ast.Expr) (fuseOp, bool) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		ref := c.resolve(x.Name)
+		ref := c.resolve(x)
 		if len(ref.slots) == 1 && ref.global < 0 {
 			return fuseOp{slot: ref.slots[0], name: x.Name, line: x.P.Line}, true
 		}
@@ -192,7 +192,7 @@ func (c *compiler) expr(e ast.Expr) exprFn {
 		return constExpr(line, lit)
 
 	case *ast.Ident:
-		ref := c.resolve(x.Name)
+		ref := c.resolve(x)
 		name := x.Name
 		if len(ref.slots) == 1 && ref.global < 0 {
 			slot := ref.slots[0]
@@ -626,7 +626,7 @@ func (c *compiler) lvalue(target ast.Expr) storeFn {
 		return c.lvalue(t.X)
 
 	case *ast.Ident:
-		ref := c.resolve(t.Name)
+		ref := c.resolve(t)
 		name := t.Name
 		line := t.P.Line
 		mname := c.fn.name
@@ -873,7 +873,7 @@ func (c *compiler) fieldAccess(x *ast.FieldAccess) exprFn {
 	line := x.P.Line
 	fname := x.Name
 	if root, ok := x.X.(*ast.Ident); ok {
-		ref := c.resolve(root.Name)
+		ref := c.resolve(root)
 		class := root.Name
 		rootLine := root.P.Line
 		if ref.empty() {

@@ -139,6 +139,189 @@ void f() {
     }
   }
 }`},
+	// Loops whose state recurs but for a counter that drifts by a fixed
+	// delta per iteration and feeds only itself and products with a zero:
+	// both factor orders, the three zero-candidate writes, int and long
+	// counters, a for counter, a decrementing counter, two counters, a
+	// counter nothing reads, and a long counter that wraps past
+	// Long.MAX_VALUE inside the skipped span (the first loop arms the watch,
+	// so the second is skipped from its third iteration).
+	{name: "drift-factor-left", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+  }
+}`},
+	{name: "drift-factor-right", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  long n = 1;
+  int f = 0;
+  while ((1 + n) * f <= k) {
+    f = f * n;
+    n = n + 1;
+  }
+}`},
+	{name: "drift-zero-times-counter", skip: true, args: []interp.Value{int64(1), int64(720)}, src: `void f(int n, int m) {
+  int count = 0;
+  long f = 0;
+  long i = 1;
+  while (f <= m) {
+    if (f >= n)
+      count++;
+    i++;
+    f = i * f;
+  }
+}`},
+	{name: "drift-for-counter", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  long f = 0;
+  for (int i = 1; f * i <= k; i++) {
+    f *= i;
+  }
+}`},
+	{name: "drift-decrementing", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 0;
+  long f = 0;
+  while (f * (n - 1) >= -k) {
+    n--;
+    f = f * n;
+  }
+}`},
+	{name: "drift-two-counters", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long m = 0;
+  long f = 0;
+  while (f * (n + m) <= k) {
+    n++;
+    m += 2;
+    f *= n;
+  }
+}`},
+	{name: "drift-unread-counter", skip: true, src: `void f() {
+  int n = 0;
+  while (true) {
+    n -= 3;
+  }
+}`},
+	{name: "drift-long-wraps", skip: true, args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int w = 0;
+  while (w < 320) {
+    w++;
+  }
+  long n = Long.MAX_VALUE - 3;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+  }
+}`},
+	// Drifting counters that reach something other than themselves and a
+	// zeroed product: a branch, a division, an index, a print, a global, a
+	// ?: or && inside the factor; a zero that is a double; an accumulator
+	// that gets a + 1, so it is no zero-candidate though it is 0 at every
+	// head; and a factor local that holds a double in mid-iteration, where
+	// 0 * (n + 2.5) is -0.0 until n reaches -2 and 1 / g flips its sign.
+	{name: "drift-reaches-if", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+    if (n == 200) {
+      System.out.print("seen");
+    }
+  }
+}`},
+	{name: "drift-reaches-division", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  int s = 0;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+    s = k / n;
+  }
+}`},
+	{name: "drift-reaches-index", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int[] a = new int[1000];
+  int n = 1;
+  int s = 0;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+    s = a[n];
+  }
+}`},
+	{name: "drift-reaches-print", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+    System.out.print(n);
+  }
+}`},
+	{name: "drift-reaches-global", args: []interp.Value{int64(5040)}, src: `class A {
+  static long g = 0;
+  void f(int k) {
+    int n = 1;
+    long f = 0;
+    while (f * (n + 1) <= k) {
+      n++;
+      f *= n;
+      g = n;
+    }
+  }
+}`},
+	{name: "drift-ternary-factor", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n > 5 ? n : 1) <= k) {
+    n++;
+    f *= n;
+  }
+}`},
+	{name: "drift-and-factor", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n > 5 && k > 0 ? n : 1) <= k) {
+    n++;
+    f *= n;
+  }
+}`},
+	{name: "drift-double-zero", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  double f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f *= n;
+  }
+}`},
+	{name: "drift-plus-one", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = 1;
+  long f = 0;
+  while (f * (n + 1) <= k) {
+    n++;
+    f = f * n + 1;
+    f *= 0;
+  }
+}`},
+	{name: "drift-factor-local-turns-double", args: []interp.Value{int64(5040)}, src: `void f(int k) {
+  int n = -150;
+  int y = 1;
+  long z = 0;
+  double g = 0;
+  while (k >= 0) {
+    y = 2.5;
+    g = z * (n + y);
+    y = 1;
+    n++;
+    if (1 / g > 0) {
+      System.out.print("x");
+    }
+  }
+}`},
 	{name: "below-arming", budget: 1000, args: []interp.Value{int64(5)}, src: `void f(int k) {
   while (k >= 0) {
     k /= 10;
@@ -177,7 +360,7 @@ void f() {
 // TestFastForward sweeps forty consecutive budgets per case and requires
 // the compiled result to equal the tree-walker's (output, return, Steps,
 // error text and line) at each, with steps skipped exactly in the cases
-// that recur.
+// that recur, whole or but for drifting counters.
 func TestFastForward(t *testing.T) {
 	for _, tc := range fastForwardCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -117,6 +117,29 @@ func FuzzRun(f *testing.F) {
 		{"void f(int a, int b) { int[] x = new int[2]; while (a >= 0) { x[b] = a; a /= 10; } }", 4321, 1},
 		{"void f(int a, int b) { Scanner sc = new Scanner(System.in); while (a >= 0) { if (sc.hasNextInt()) { b += sc.nextInt(); } } }", 0, 0},
 		{"class A { static int g = 0; void f(int a, int b) { while (a >= 0) { g++; if (g == a) { System.out.print(b); } } } }", 300, 42},
+		// Loops whose state recurs but for a drifting counter: both factor
+		// orders, the three zero-candidate writes, int and long counters, a
+		// for counter, a decrementing counter, two counters, a long counter
+		// that wraps; and loops it must run in full: the counter reaches a
+		// branch, a division, an index, a print, a global or a ?: or && in
+		// the factor, the zero is a double, the accumulator gets a + 1, a
+		// factor local holds a double in mid-iteration.
+		{"void f(int a, int b) { int n = 1; long f = b; while ((1 + n) * f <= a) { f = f * n; n = n + 1; } }", 5040, 0},
+		{"void f(int a, int b) { long n = b; int f = 0; while (f * (n + 1) <= a) { n++; f = n * f; } }", 5040, 7},
+		{"void f(int a, int b) { long f = b; for (int i = 1; f * i <= a; i++) { f *= i; } }", 5040, 0},
+		{"void f(int a, int b) { int n = b; long f = 0; while (f * (n - 1) >= -a) { n--; f = f * n; } }", 5040, 0},
+		{"void f(int a, int b) { int n = 1; long m = b; long f = 0; while (f * (n + m) <= a) { n++; m += 2; f *= n; } }", 5040, 0},
+		{"void f(long a, long b) { long n = Long.MAX_VALUE - b; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; } }", 5040, 1000},
+		{"void f(int a, int b) { int n = 1; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; if (n == b) { System.out.print(n); } } }", 5040, 900},
+		{"void f(int a, int b) { int n = 1; int s = 0; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; s = a / (n - b); } }", 5040, 1000},
+		{"void f(int a, int b) { int[] x = new int[b]; int n = 1; int s = 0; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; s = x[n]; } }", 5040, 1000},
+		{"void f(int a, int b) { int n = b; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; System.out.print(n); } }", 5040, 0},
+		{"class A { static long g = 0; void f(int a, int b) { int n = b; long f = 0; while (f * (n + 1) <= a) { n++; f *= n; g = n; } } }", 5040, 0},
+		{"void f(int a, int b) { int n = 1; long f = 0; while (f * (n > b ? n : 1) <= a) { n++; f *= n; } }", 5040, 500},
+		{"void f(int a, int b) { int n = 1; long f = 0; while (f * (n > b && a > 0 ? n : 1) <= a) { n++; f *= n; } }", 5040, 500},
+		{"void f(int a, int b) { int n = 1; double f = b; while (f * (n + 1) <= a) { n++; f *= n; } }", 5040, 0},
+		{"void f(int a, int b) { int n = 1; long f = b; while (f * (n + 1) <= a) { n++; f = f * n + 1; f *= 0; } }", 5040, 0},
+		{"void f(int a, int b) { int n = -b; int y = 1; long z = 0; double g = 0; while (a >= 0) { y = 2.5; g = z * (n + y); y = 1; n++; if (1 / g > 0) { System.out.print(n); } } }", 5040, 400},
 	}
 	for _, p := range params {
 		f.Add(p.src, p.a, p.b)

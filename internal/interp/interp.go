@@ -108,7 +108,9 @@ type Result struct {
 	// engine fast-forwards reports the Steps of the full run.
 	Steps int
 	// Skipped is the part of Steps that loop fast-forward charged without
-	// executing (see Program.Run); always 0 on the tree-walker.
+	// executing, for a loop whose state recurs whole or but for drifting
+	// counters (see Program.Run); Steps - Skipped is the work done. Always
+	// 0 on the tree-walker.
 	Skipped int
 }
 

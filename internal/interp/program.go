@@ -260,9 +260,11 @@ func (p *Program) putVM(v *vm) {
 // concurrently on the same Program; every run gets pooled, freshly reset
 // frames and vm state. A run that fails still returns its Result, with the
 // steps it took and the output it printed but no Return value, next to the
-// error. A run whose loop state recurs is fast-forwarded to its step limit
-// (see loopWatch): it fails with the Steps, output and error of the full
-// run, and Result.Skipped counts the steps it did not execute.
+// error. A run whose loop state recurs, whole or but for counters that
+// drift by a fixed delta per period and feed only themselves and products
+// with a zero, is fast-forwarded to its step limit (see loopWatch): it
+// fails with the Steps, output and error of the full run, and
+// Result.Skipped counts the steps it did not execute.
 func (p *Program) Run(entry string, args []Value, cfg Config) (res *Result, err error) {
 	obs.InterpRunsTotal.Inc()
 	v := p.getVM(cfg)

@@ -133,15 +133,17 @@ func TestProgramReuse(t *testing.T) {
 }
 
 // TestProgramConcurrent hammers one Program and one Cache from many
-// goroutines, the BatchGrader worker shape; run with -race. The last
-// source's loop recurs, so its step-limited runs are fast-forwarded and
-// exercise the loop watches of pooled frames.
+// goroutines, the BatchGrader worker shape; run with -race. The last two
+// sources loop until the step limit, one with a state that recurs and one
+// with a drifting counter, so their runs are fast-forwarded and exercise
+// the loop watches of pooled frames.
 func TestProgramConcurrent(t *testing.T) {
 	srcs := []string{
 		`int f(int x) { int s = 0; for (int i = 0; i < x; i++) { s += i; } return s; }`,
 		`int f(int x) { if (x % 2 == 0) return x / 2; return 3 * x + 1; }`,
 		`int f(int x) { int[] a = new int[x]; for (int i = 0; i < x; i++) a[i] = i; int s = 0; for (int v : a) s += v; return s; }`,
 		`int f(int x) { int s = 0; int t = x; while (t >= 0) { int d = t % 10; s += d * d * d; t /= 10; } return s; }`,
+		`int f(int x) { int n = 1; long p = 0; while (p * (n + 1) <= x) { n++; p *= n; } return n; }`,
 	}
 	cfg := interp.Config{MaxSteps: 5_000}
 	cache := interp.NewCache(8)
