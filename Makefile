@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke perfbench table table-json metrics-smoke metrics-lint server-smoke cluster-smoke statusz-smoke javalint-smoke fuzz fmt vet examples clean
+.PHONY: all build test race bench bench-smoke perfbench table table-json metrics-smoke metrics-lint init-gate server-smoke cluster-smoke statusz-smoke javalint-smoke fuzz fmt vet examples clean
 
 all: build vet test
 
@@ -56,6 +56,13 @@ metrics-smoke:
 # match the live registry in both directions. See scripts/metrics_lint.sh.
 metrics-lint:
 	bash scripts/metrics_lint.sh
+
+# Init work gate: feedback -list under GODEBUG=inittrace=1 must show at
+# most 100 allocations at init for internal/assignments and internal/kb,
+# which build every assignment and pattern on first use instead. See
+# scripts/init_gate.sh.
+init-gate:
+	bash scripts/init_gate.sh
 
 # Grading-service smoke: fixture KB via kbdump, semfeedd over HTTP with JSON
 # logs + tracing + pprof, request-ID/trace/statusz correlation checks, SIGTERM

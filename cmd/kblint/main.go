@@ -10,9 +10,12 @@
 //     hot-reloads): every pattern and group use and every constraint's
 //     Pi/Pj/Supporting/node references must resolve against the KB, inline
 //     patterns must actually be referenced somewhere (no orphans), and no
-//     constraint may relate a pattern to itself. All violations are
-//     reported, not just the first, and the exit status is nonzero — so a
-//     CI step can gate definition uploads.
+//     constraint may relate a pattern to itself. A file with synth, tests
+//     and paper sections is also run: the reference must pass its suite,
+//     every recorded want must be the reference's output, and |S| must
+//     equal paper.s. Fixture paths resolve against the file's directory.
+//     All violations are reported, not just the first, and the exit status
+//     is nonzero — so a CI step can gate definition uploads.
 //
 // Usage:
 //
@@ -28,7 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-
+	"path/filepath"
 	"strings"
 
 	"semfeed/internal/java/parser"
@@ -149,8 +152,8 @@ func isAssignmentDef(path string) bool {
 // lintDefs validates assignment-definition files and reports every violation
 // — unknown pattern or group uses, constraints whose Pi/Pj/Supporting name
 // patterns absent from the KB, node references that don't exist in their
-// pattern, plus the structural rules of defLints. Returns the process exit
-// code.
+// pattern, plus the structural rules of defLints and, for a definition that
+// compiles, the data checks of dataLints. Returns the process exit code.
 func lintDefs(w io.Writer, paths []string) int {
 	violations := 0
 	for _, path := range paths {
@@ -173,6 +176,9 @@ func lintDefs(w io.Writer, paths []string) int {
 		}
 		violations += len(errs)
 		structural := defLints(def)
+		if spec != nil {
+			structural = append(structural, dataLints(def, filepath.Dir(path))...)
+		}
 		for _, v := range structural {
 			fmt.Fprintf(w, "%s: %s\n", path, v)
 		}
@@ -231,6 +237,39 @@ func defLints(def *kb.AssignmentDef) []string {
 				"assignment %s: orphan pattern %q is defined but never referenced",
 				def.ID, name))
 		}
+	}
+	return out
+}
+
+// dataLints checks a definition's synth, tests and paper sections against
+// each other — what Compile leaves out because it runs the reference:
+//
+//   - the reference (choice 0 of every point) passes its own suite: it runs
+//     every case without error and prints each recorded want byte for byte,
+//     which implies the suite's token-wise comparison passes;
+//   - |S|, the product of the option counts, equals paper.s.
+//
+// Fixture paths resolve against dir, the definition file's directory.
+func dataLints(def *kb.AssignmentDef, dir string) []string {
+	var out []string
+	fail := func(format string, args ...any) {
+		out = append(out, fmt.Sprintf("assignment %s: ", def.ID)+fmt.Sprintf(format, args...))
+	}
+	if def.Synth != nil && def.Paper != nil {
+		if size := def.Synth.Size(); size != def.Paper.S {
+			fail("|S| = %d, but paper.s = %d", size, def.Paper.S)
+		}
+	}
+	suite, err := def.Suite(func(p string) ([]byte, error) { return os.ReadFile(filepath.Join(dir, p)) })
+	if err != nil {
+		fail("%v", err)
+		return out
+	}
+	if suite == nil {
+		return out
+	}
+	for _, err := range suite.CheckExpected(def.Synth.Reference()) {
+		fail("%v", err)
 	}
 	return out
 }

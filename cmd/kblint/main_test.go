@@ -11,6 +11,7 @@ import (
 	"semfeed/internal/constraint"
 	"semfeed/internal/kb"
 	"semfeed/internal/pattern"
+	"semfeed/internal/synth"
 )
 
 // demoPattern is a minimal valid inline pattern; its node IDs anchor the
@@ -153,5 +154,68 @@ func TestDefLintsDirect(t *testing.T) {
 	}
 	if vs := defLints(def); len(vs) != 0 {
 		t.Errorf("unexpected violations: %v", vs)
+	}
+}
+
+// wholeDef is a minimal whole assignment whose synth, tests and paper
+// sections agree: a two-point space, one case recorded from the reference,
+// and |S| = 2.
+func wholeDef() *kb.AssignmentDef {
+	return &kb.AssignmentDef{
+		ID: "square",
+		Methods: []kb.MethodDef{{
+			Name:     "square",
+			Patterns: []kb.PatternUseDef{{Name: "assign-print", Count: 1}},
+		}},
+		Synth: &synth.Spec{
+			Template: "void square(int x) {\n  int y = x @{op} x;\n  System.out.println(y);\n}",
+			Choices:  []synth.Choice{{ID: "op", Options: []string{"*", "+"}}},
+		},
+		Tests: &kb.TestsDef{
+			Entry: "square",
+			Cases: []kb.CaseDef{{Name: "three", Args: []json.RawMessage{json.RawMessage("3")}, Want: "9\n"}},
+		},
+		Paper: &kb.PaperRow{S: 2},
+	}
+}
+
+// TestLintDefDataChecks gives each check of a whole assignment one fixture
+// that breaks it: a recorded want that is not the reference's output, a
+// space whose size is not paper.s, a tests section without a synth section
+// to type it, and a string argument for an int parameter.
+func TestLintDefDataChecks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*kb.AssignmentDef)
+		want   string
+	}{
+		{"clean", func(*kb.AssignmentDef) {}, ""},
+		{"wrong-want", func(d *kb.AssignmentDef) { d.Tests.Cases[0].Want = "6\n" },
+			`case three records "6\n", the reference prints "9\n"`},
+		{"size-not-paper", func(d *kb.AssignmentDef) { d.Paper.S = 3 },
+			"assignment square: |S| = 2, but paper.s = 3"},
+		{"tests-without-synth", func(d *kb.AssignmentDef) { d.Synth = nil },
+			"assignment square: tests section without a synth section"},
+		{"string-for-int", func(d *kb.AssignmentDef) { d.Tests.Cases[0].Args[0] = json.RawMessage(`"3"`) },
+			`assignment square: test three: arg 1 for parameter int x: "3" does not fit int`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			def := wholeDef()
+			tc.mutate(def)
+			var out bytes.Buffer
+			code := lintDefs(&out, []string{writeDef(t, def)})
+			if tc.want == "" {
+				if code != 0 {
+					t.Fatalf("clean whole assignment flagged: exit %d\n%s", code, out.String())
+				}
+				return
+			}
+			if code == 0 {
+				t.Fatalf("want exit nonzero\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, out.String())
+			}
+		})
 	}
 }

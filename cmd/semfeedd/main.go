@@ -79,7 +79,7 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue depth before requests are shed with 429")
 		workers      = flag.Int("workers", 0, "max concurrent grading requests (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 10*time.Second, "per-request grading deadline")
-		cacheSize    = flag.Int("cache", 4096, "memory result-store capacity in entries (negative disables)")
+		cacheSize    = flag.Int("cache", 4096, "memory result-store capacity in entries (0 or negative disables)")
 		storeKind    = flag.String("store", "memory", `result store backend: "memory" or "disk"`)
 		storeDir     = flag.String("store-dir", "", "disk store directory (required with -store disk)")
 		storeMaxMB   = flag.Int64("store-max-mb", 256, "disk store size cap in MiB before LRU eviction")

@@ -11,8 +11,8 @@
 //	internal/match       subgraph matching (Algorithm 1)
 //	internal/constraint  equality / edge / containment constraints
 //	internal/pdg         extended program dependence graphs
-//	internal/kb          the 24-pattern knowledge base
-//	internal/assignments the twelve Table I assignments
+//	internal/kb          the knowledge base: 24 patterns, 12 assignment files
+//	internal/assignments loads the twelve Table I assignments from internal/kb
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-vs-measured record. The benchmarks in

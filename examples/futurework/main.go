@@ -70,7 +70,7 @@ void assignment1(int[] a) {
 
 	// 4. Strategy bundles: one call wires the whole approach.
 	spec := &core.AssignmentSpec{Name: "assignment1-strategy", Methods: []core.MethodSpec{{Name: "assignment1"}}}
-	spec.Methods[0].Apply(kb.SequentialParityScanStrategy())
+	spec.Methods[0].Apply(kb.Strategy("sequential-parity-scan"))
 	show("4. reference under the sequential-parity-scan strategy bundle", grade(plain, a.Reference(), spec))
 }
 

@@ -1,13 +1,17 @@
-// Package assignments defines the twelve real-world assignments of Table I:
-// for each one, a reference solution, the synthetic submission space (choice
-// points encoding the error model) and the functional-test suite used as
-// ground truth. The pattern/constraint selection and the description come
-// from the assignment's definition file in the knowledge base (kb.Builtin).
+// Package assignments loads the twelve real-world assignments of Table I
+// from their knowledge-base definition files (kb.Builtin). One file holds
+// everything an assignment is: its patterns and constraints, its synthetic
+// submission space (choice points encoding the error model), its
+// functional-test suite with the reference's recorded outputs, which serves
+// as ground truth, and the row the paper publishes for it. This package
+// holds no assignment data of its own.
+//
+// Nothing is built at package init: All and Get compile each assignment on
+// first use, once, and are safe for concurrent callers.
 package assignments
 
 import (
-	"fmt"
-	"sort"
+	"sync"
 
 	"semfeed/internal/core"
 	"semfeed/internal/functest"
@@ -15,20 +19,7 @@ import (
 	"semfeed/internal/synth"
 )
 
-// PaperRow records the Table I row published for the assignment, used by the
-// benchmark harness to print paper-vs-measured comparisons. T and M are
-// seconds.
-type PaperRow struct {
-	S    int64
-	L    float64
-	T    float64
-	P, C int
-	M    float64
-	D    int
-}
-
 // Assignment bundles everything needed to reproduce one Table I row.
-// Description and Spec are compiled from the KB definition file by register.
 type Assignment struct {
 	ID          string
 	Course      string
@@ -37,58 +28,14 @@ type Assignment struct {
 	Synth       *synth.Spec
 	Tests       *functest.Suite
 	Spec        *core.AssignmentSpec
-	Paper       PaperRow
+	Paper       kb.PaperRow
 }
 
 // Reference renders the canonical correct solution.
 func (a *Assignment) Reference() string { return a.Synth.Reference() }
 
-var registry = map[string]*Assignment{}
-var order []string
-
-func register(a *Assignment) {
-	if _, dup := registry[a.ID]; dup {
-		panic("assignments: duplicate " + a.ID)
-	}
-	if err := a.Synth.Validate(); err != nil {
-		panic(err)
-	}
-	if err := a.Tests.FillExpected(a.Reference()); err != nil {
-		panic(fmt.Sprintf("%s: %v", a.ID, err))
-	}
-	def, spec := kb.Builtin(a.ID)
-	a.Description, a.Spec = def.Description, spec
-	registry[a.ID] = a
-	order = append(order, a.ID)
-}
-
-// All returns every assignment in Table I order.
-func All() []*Assignment {
-	sorted := append([]string(nil), order...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return tableOrder(sorted[i]) < tableOrder(sorted[j])
-	})
-	out := make([]*Assignment, len(sorted))
-	for i, id := range sorted {
-		out[i] = registry[id]
-	}
-	return out
-}
-
-// Get returns an assignment by ID, or nil.
-func Get(id string) *Assignment { return registry[id] }
-
-// IDs returns the assignment IDs in Table I order.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, a := range all {
-		out[i] = a.ID
-	}
-	return out
-}
-
-var tableIOrder = []string{
+// tableI lists the builtin assignments in Table I order.
+var tableI = [...]string{
 	"assignment1",
 	"esc-LAB-3-P1-V1",
 	"esc-LAB-3-P2-V1",
@@ -103,11 +50,48 @@ var tableIOrder = []string{
 	"rit-medals-by-ath",
 }
 
-func tableOrder(id string) int {
-	for i, v := range tableIOrder {
+var loaded [len(tableI)]struct {
+	once sync.Once
+	a    *Assignment
+}
+
+// load builds assignment i of tableI on first use.
+func load(i int) *Assignment {
+	l := &loaded[i]
+	l.once.Do(func() {
+		def, spec, tests := kb.Builtin(tableI[i])
+		if def.Synth == nil || tests == nil || def.Paper == nil {
+			panic("assignments: " + def.ID + " lacks a synth, tests or paper section")
+		}
+		l.a = &Assignment{
+			ID:          def.ID,
+			Course:      def.Course,
+			Description: def.Description,
+			Entry:       tests.Entry,
+			Synth:       def.Synth,
+			Tests:       tests,
+			Spec:        spec,
+			Paper:       *def.Paper,
+		}
+	})
+	return l.a
+}
+
+// All returns every assignment in Table I order.
+func All() []*Assignment {
+	out := make([]*Assignment, len(tableI))
+	for i := range tableI {
+		out[i] = load(i)
+	}
+	return out
+}
+
+// Get returns an assignment by ID, or nil.
+func Get(id string) *Assignment {
+	for i, v := range tableI {
 		if v == id {
-			return i
+			return load(i)
 		}
 	}
-	return len(tableIOrder)
+	return nil
 }

@@ -9,8 +9,9 @@ import (
 
 // TestEveryAssignmentInvariants checks the properties every Table I row must
 // satisfy: the synthetic space has exactly the published size, the reference
-// solution passes its own functional tests, and the reference earns
-// all-Correct personalized feedback.
+// solution passes its own functional tests, every recorded output is the
+// reference's, byte for byte, and the reference earns all-Correct
+// personalized feedback.
 func TestEveryAssignmentInvariants(t *testing.T) {
 	all := assignments.All()
 	if len(all) == 0 {
@@ -28,6 +29,9 @@ func TestEveryAssignmentInvariants(t *testing.T) {
 			}
 			if !verdict.Pass {
 				t.Fatalf("reference fails its own tests: %v\n%s", verdict.Failures, a.Reference())
+			}
+			for _, err := range a.Tests.CheckExpected(a.Reference()) {
+				t.Error(err)
 			}
 			rep := grade(t, a, a.Reference())
 			if !rep.AllCorrect() {

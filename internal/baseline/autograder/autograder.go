@@ -64,8 +64,6 @@ type Options struct {
 	// ConcatWorkaround rewrites console output into a returned string,
 	// making print assignments comparable (order-sensitively).
 	ConcatWorkaround bool
-	// MaxCandidates aborts runaway searches.
-	MaxCandidates int
 }
 
 func (o Options) maxRepairs() int {
@@ -75,12 +73,8 @@ func (o Options) maxRepairs() int {
 	return 4
 }
 
-func (o Options) maxCandidates() int {
-	if o.MaxCandidates > 0 {
-		return o.MaxCandidates
-	}
-	return 2_000_000
-}
+// maxCandidates aborts runaway searches.
+const maxCandidates = 2_000_000
 
 // Grader holds the reference configuration for one assignment.
 type Grader struct {
@@ -137,7 +131,7 @@ func (g *Grader) RepairIndex(k int64) ([]Repair, Stats, error) {
 			stats.Elapsed = time.Since(start)
 			return repairs, stats, nil
 		}
-		if stats.Candidates >= g.Opts.maxCandidates() {
+		if stats.Candidates >= maxCandidates {
 			break
 		}
 	}
@@ -153,7 +147,7 @@ func (g *Grader) searchSize(idx []int, sites []int, size int, stats *Stats) []in
 	combo := make([]int, size)
 	var rec func(start, depth int) []int
 	rec = func(start, depth int) []int {
-		if stats.Candidates >= g.Opts.maxCandidates() {
+		if stats.Candidates >= maxCandidates {
 			return nil
 		}
 		if depth == size {
@@ -176,7 +170,7 @@ func (g *Grader) tryCombo(idx []int, sitesChosen []int, stats *Stats) []int {
 	candidate := append([]int(nil), idx...)
 	var rec func(d int) bool
 	rec = func(d int) bool {
-		if stats.Candidates >= g.Opts.maxCandidates() {
+		if stats.Candidates >= maxCandidates {
 			return false
 		}
 		if d == len(sitesChosen) {

@@ -49,7 +49,7 @@ func spawnWorker(t *testing.T) *testWorker {
 	if err := reg.Load(); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Registry: reg})
+	srv := server.New(server.Config{Registry: reg, Store: store.NewMemory(4096)})
 	errc, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestPeerFillServesOwnedKeys(t *testing.T) {
 	// Worker URLs are needed before construction to build the peer ring, so
 	// start two placeholder-addressed servers first.
 	mkWorker := func() (*server.Server, string, func()) {
-		srv := server.New(server.Config{Registry: reg})
+		srv := server.New(server.Config{Registry: reg, Store: store.NewMemory(4096)})
 		errc, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -271,9 +271,6 @@ type Options struct {
 	// submissions still expose the computation to the patterns (the paper's
 	// Section VII plan for non-expected methods).
 	InlineHelpers bool
-	// MaxMethodCombos caps the number of expected↔actual method bindings
-	// tried (default 720).
-	MaxMethodCombos int
 	// Analyzers, when non-nil, runs pattern-independent static analysis over
 	// every submission method's EPDG and attaches the findings to
 	// Report.Diagnostics. Nil disables analysis entirely (zero overhead). A
@@ -281,12 +278,8 @@ type Options struct {
 	Analyzers *analysis.Driver
 }
 
-func (o Options) maxCombos() int {
-	if o.MaxMethodCombos > 0 {
-		return o.MaxMethodCombos
-	}
-	return 720
-}
+// maxMethodCombos caps the number of expected↔actual method bindings tried.
+const maxMethodCombos = 720
 
 // matchCache memoizes Algorithm 1 results within one GradeUnit call. The
 // method-binding sweep of Algorithm 2 re-grades the same (pattern, graph)
@@ -629,7 +622,7 @@ func (g *Grader) bindings(spec *AssignmentSpec, methods []string) []map[string]s
 	cur := map[string]string{}
 	var rec func(i int)
 	rec = func(i int) {
-		if len(out) >= g.opts.maxCombos() {
+		if len(out) >= maxMethodCombos {
 			return
 		}
 		if i == len(expected) {

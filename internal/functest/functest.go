@@ -285,3 +285,21 @@ func (s *Suite) FillExpected(referenceSrc string) error {
 	}
 	return nil
 }
+
+// CheckExpected re-derives the recorded outputs: it runs the reference
+// solution over every case, as FillExpected does, and reports each case
+// whose Want is not the reference's output byte for byte.
+func (s *Suite) CheckExpected(referenceSrc string) []error {
+	fresh := *s
+	fresh.Cases = append([]Case(nil), s.Cases...)
+	if err := fresh.FillExpected(referenceSrc); err != nil {
+		return []error{err}
+	}
+	var errs []error
+	for i, c := range fresh.Cases {
+		if want := s.Cases[i].Want; want != c.Want {
+			errs = append(errs, fmt.Errorf("functest: case %s records %q, the reference prints %q", c.Name, want, c.Want))
+		}
+	}
+	return errs
+}

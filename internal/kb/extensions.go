@@ -1,20 +1,15 @@
 package kb
 
-import (
-	"sort"
+import "semfeed/internal/pattern"
 
-	"semfeed/internal/pattern"
-)
-
+// Extension returns a compiled extension pattern; it panics on unknown names.
 // Extension patterns implement the paper's Section VII future work — pattern
 // variability: the same semantics achieved by a different strategy. They are
 // loaded from builtin/extensions.json, kept outside the 24-pattern published
 // catalog and combined with catalog patterns through pattern.Group.
-var extensions = map[string]*pattern.Compiled{}
-
-// Extension returns a compiled extension pattern; it panics on unknown names.
 func Extension(name string) *pattern.Compiled {
-	p, ok := extensions[name]
+	_, ext := patterns()
+	p, ok := ext[name]
 	if !ok {
 		panic("kb: unknown extension pattern " + name)
 	}
@@ -23,12 +18,8 @@ func Extension(name string) *pattern.Compiled {
 
 // ExtensionNames lists the extension patterns, sorted.
 func ExtensionNames() []string {
-	out := make([]string, 0, len(extensions))
-	for n := range extensions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	_, ext := patterns()
+	return sortedNames(ext)
 }
 
 // EvenAccessGroup is the variability cluster the paper uses as its running

@@ -1,14 +1,22 @@
 package kb
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"semfeed/internal/analysis"
 	"semfeed/internal/constraint"
 	"semfeed/internal/core"
+	"semfeed/internal/functest"
+	"semfeed/internal/interp"
+	"semfeed/internal/java/ast"
+	"semfeed/internal/java/parser"
 	"semfeed/internal/pattern"
+	"semfeed/internal/synth"
 )
 
 // AssignmentDef is the serializable knowledge-base definition of one
@@ -18,9 +26,14 @@ import (
 // (and its Section VII extensions) by name, may declare additional inline
 // patterns, and wires pattern uses, variability groups and constraints to
 // the expected methods exactly as core.AssignmentSpec does.
+//
+// The optional Synth, Tests and Paper sections make the file a whole Table I
+// assignment: its synthetic submission space, its functional-test suite and
+// the row the paper publishes for it.
 type AssignmentDef struct {
 	ID          string            `json:"id"`
 	Description string            `json:"description,omitempty"`
+	Course      string            `json:"course,omitempty"`
 	Patterns    []pattern.Pattern `json:"patterns,omitempty"` // inline pattern definitions
 	Groups      []GroupDef        `json:"groups,omitempty"`
 	Methods     []MethodDef       `json:"methods"`
@@ -32,6 +45,46 @@ type AssignmentDef struct {
 	// in JSON so the opt-out survives a write/read round-trip. Hot-reloads
 	// with the rest of the definition.
 	Analyzers *[]string `json:"analyzers,omitempty"`
+
+	// Synth is the submission space; its reference (choice 0 of every
+	// point) is the model solution the tests section is typed and recorded
+	// against.
+	Synth *synth.Spec `json:"synth,omitempty"`
+	Tests *TestsDef   `json:"tests,omitempty"`
+	Paper *PaperRow   `json:"paper,omitempty"`
+}
+
+// TestsDef is the functional-test suite of an assignment, the ground truth
+// of Table I. Files maps each virtual file name the submissions open to a
+// fixture path, relative to the definition file; every case sees the same
+// files.
+type TestsDef struct {
+	Entry    string            `json:"entry"`
+	MaxSteps int               `json:"max_steps,omitempty"`
+	Files    map[string]string `json:"files,omitempty"`
+	Cases    []CaseDef         `json:"cases"`
+}
+
+// CaseDef is one functional test. Args are plain JSON values, each typed by
+// the matching parameter of the entry method in the reference: int, double
+// and String take a number, a number and a string; int[] and double[] take
+// an array of numbers. Want is the reference's recorded console output.
+type CaseDef struct {
+	Name string            `json:"name"`
+	Args []json.RawMessage `json:"args"`
+	Want string            `json:"want"`
+}
+
+// PaperRow records the Table I row published for an assignment, which the
+// benchmark harness prints next to the measured one. T and M are seconds.
+type PaperRow struct {
+	S int64   `json:"s"`
+	L float64 `json:"l"`
+	T float64 `json:"t"`
+	P int     `json:"p"`
+	C int     `json:"c"`
+	M float64 `json:"m"`
+	D int     `json:"d"`
 }
 
 // GroupDef declares a pattern variability group over named patterns.
@@ -72,14 +125,19 @@ func ReadAssignmentDef(r io.Reader) (*AssignmentDef, error) {
 	if err := dec.Decode(&def); err != nil {
 		return nil, fmt.Errorf("kb: decode assignment definition: %w", err)
 	}
+	if def.Synth != nil {
+		def.Synth.Name = def.ID
+	}
 	return &def, nil
 }
 
 // Compile resolves and validates the definition into a grading spec. Every
 // violation is collected — unknown pattern references, negative counts, bad
-// inline patterns, constraints whose cross-references do not resolve — so
-// tooling (kblint) can report all of them in one pass. The spec is nil when
-// any violation was found.
+// inline patterns, constraints whose cross-references do not resolve, an
+// invalid submission space, a tests section without one, and test arguments
+// that do not fit their parameters — so tooling (kblint) can report all of
+// them in one pass. The spec is nil when any violation was found. Compile
+// runs nothing: checking the recorded outputs is kblint's job.
 func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -90,9 +148,19 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 	if len(d.Methods) == 0 {
 		fail("assignment %s: no methods", d.ID)
 	}
+	if d.Synth != nil {
+		if err := d.Synth.Validate(); err != nil {
+			fail("assignment %s: %v", d.ID, err)
+		}
+	}
+	if d.Tests != nil {
+		_, argErrs := d.args()
+		errs = append(errs, argErrs...)
+	}
 
 	// The pattern registry the definition resolves against: the published
 	// catalog plus the extension patterns, plus the file's inline patterns.
+	catalog, extensions := patterns()
 	registry := map[string]*pattern.Compiled{}
 	for name, p := range catalog {
 		registry[name] = p
@@ -204,4 +272,118 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 		return nil, errs
 	}
 	return spec, nil
+}
+
+// Suite builds the functional-test suite of the tests section: arguments
+// typed as Compile checks them, the recorded wants, and each file read
+// through readFixture, which resolves a fixture path relative to the
+// definition file. It returns nil for a definition without tests.
+func (d *AssignmentDef) Suite(readFixture func(path string) ([]byte, error)) (*functest.Suite, error) {
+	if d.Tests == nil {
+		return nil, nil
+	}
+	args, errs := d.args()
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	var files map[string]string
+	for name, path := range d.Tests.Files {
+		data, err := readFixture(path)
+		if err != nil {
+			return nil, fmt.Errorf("assignment %s: file %s: %w", d.ID, name, err)
+		}
+		if files == nil {
+			files = map[string]string{}
+		}
+		files[name] = string(data)
+	}
+	suite := &functest.Suite{Entry: d.Tests.Entry, MaxSteps: d.Tests.MaxSteps, Cases: make([]functest.Case, len(d.Tests.Cases))}
+	for i, c := range d.Tests.Cases {
+		suite.Cases[i] = functest.Case{Name: c.Name, Args: args[i], Files: files, Want: c.Want}
+	}
+	return suite, nil
+}
+
+// args types every case's arguments by the parameters of the entry method
+// in the synth section's reference.
+func (d *AssignmentDef) args() ([][]interp.Value, []error) {
+	if d.Synth == nil {
+		return nil, []error{fmt.Errorf("assignment %s: tests section without a synth section", d.ID)}
+	}
+	unit, err := parser.Parse(d.Synth.Reference())
+	if err != nil {
+		return nil, []error{fmt.Errorf("assignment %s: reference does not parse: %w", d.ID, err)}
+	}
+	entry := unit.FindMethod(d.Tests.Entry)
+	if entry == nil {
+		return nil, []error{fmt.Errorf("assignment %s: tests entry %q is not a method of the reference", d.ID, d.Tests.Entry)}
+	}
+	var errs []error
+	out := make([][]interp.Value, len(d.Tests.Cases))
+	for i, c := range d.Tests.Cases {
+		if len(c.Args) != len(entry.Params) {
+			errs = append(errs, fmt.Errorf("assignment %s: test %s: %d args for %d parameters of %s",
+				d.ID, c.Name, len(c.Args), len(entry.Params), entry.Name))
+			continue
+		}
+		out[i] = make([]interp.Value, len(c.Args))
+		for j, raw := range c.Args {
+			p := entry.Params[j]
+			v, err := argValue(raw, p.Type)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("assignment %s: test %s: arg %d for parameter %s %s: %v",
+					d.ID, c.Name, j+1, p.Type, p.Name, err))
+			}
+			out[i][j] = v
+		}
+	}
+	return out, errs
+}
+
+// argValue decodes one JSON test argument as a value of parameter type t.
+func argValue(raw json.RawMessage, t ast.Type) (interp.Value, error) {
+	decode := func(v any) error {
+		if bytes.Equal(bytes.TrimSpace(raw), []byte("null")) || json.Unmarshal(raw, v) != nil {
+			return fmt.Errorf("%s does not fit %s", raw, t)
+		}
+		return nil
+	}
+	switch t.String() {
+	case "int":
+		var n int64
+		if err := decode(&n); err != nil {
+			return nil, err
+		}
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return nil, fmt.Errorf("%d overflows int", n)
+		}
+		return n, nil
+	case "double":
+		var f float64
+		if err := decode(&f); err != nil {
+			return nil, err
+		}
+		return f, nil
+	case "String":
+		var s string
+		if err := decode(&s); err != nil {
+			return nil, err
+		}
+		return s, nil
+	case "int[]", "double[]":
+		var elems []json.RawMessage
+		if err := decode(&elems); err != nil {
+			return nil, err
+		}
+		arr := &interp.Array{Elem: t.Name, Elems: make([]interp.Value, len(elems))}
+		for i, e := range elems {
+			v, err := argValue(e, ast.Type{Name: t.Name})
+			if err != nil {
+				return nil, fmt.Errorf("element %d: %w", i, err)
+			}
+			arr.Elems[i] = v
+		}
+		return arr, nil
+	}
+	return nil, fmt.Errorf("parameter type %s is not supported in tests", t)
 }

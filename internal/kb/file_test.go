@@ -1,12 +1,16 @@
 package kb_test
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"semfeed/internal/constraint"
 	"semfeed/internal/core"
+	"semfeed/internal/interp"
 	"semfeed/internal/kb"
+	"semfeed/internal/synth"
 )
 
 // TestAssignmentDefViolationsCollected pins that Compile reports every
@@ -92,5 +96,61 @@ func TestAssignmentDefGroupsAndInline(t *testing.T) {
 	}
 	if report.Score != 1 {
 		t.Fatalf("stride-2 walk should satisfy the group: %v", report)
+	}
+}
+
+// TestAssignmentDefTestArgs pins how a tests section's plain JSON arguments
+// are typed by the reference's entry parameters, and that Compile rejects
+// every argument that does not fit its parameter.
+func TestAssignmentDefTestArgs(t *testing.T) {
+	def := func(args ...string) *kb.AssignmentDef {
+		raw := make([]json.RawMessage, len(args))
+		for i, a := range args {
+			raw[i] = json.RawMessage(a)
+		}
+		return &kb.AssignmentDef{
+			ID:      "typed",
+			Methods: []kb.MethodDef{{Name: "f"}},
+			Synth: &synth.Spec{
+				Template: "void f(int n, double x, String s, int[] a, double[] d) { System.out.println(@{out}); }",
+				Choices:  []synth.Choice{{ID: "out", Options: []string{"n"}}},
+			},
+			Tests: &kb.TestsDef{Entry: "f", Cases: []kb.CaseDef{{Name: "c", Args: raw}}},
+		}
+	}
+
+	good := def(`-3`, `2`, `"Ann"`, `[1, 2]`, `[0.5, 3]`)
+	if _, errs := good.Compile(); len(errs) > 0 {
+		t.Fatalf("compile: %v", errs)
+	}
+	suite, err := good.Suite(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := suite.Cases[0].Args
+	want := []interp.Value{int64(-3), float64(2), "Ann",
+		&interp.Array{Elem: "int", Elems: []interp.Value{int64(1), int64(2)}},
+		&interp.Array{Elem: "double", Elems: []interp.Value{0.5, float64(3)}}}
+	if !reflect.DeepEqual(args, want) {
+		t.Fatalf("args = %#v, want %#v", args, want)
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{`"3"`, `2`, `"Ann"`, `[]`, `[]`}, `arg 1 for parameter int n: "3" does not fit int`},
+		{[]string{`2.5`, `2`, `"Ann"`, `[]`, `[]`}, `2.5 does not fit int`},
+		{[]string{`3000000000`, `2`, `"Ann"`, `[]`, `[]`}, `3000000000 overflows int`},
+		{[]string{`null`, `2`, `"Ann"`, `[]`, `[]`}, `null does not fit int`},
+		{[]string{`1`, `"2"`, `"Ann"`, `[]`, `[]`}, `"2" does not fit double`},
+		{[]string{`1`, `2`, `7`, `[]`, `[]`}, `7 does not fit String`},
+		{[]string{`1`, `2`, `"Ann"`, `[1, "x"]`, `[]`}, `element 1: "x" does not fit int`},
+		{[]string{`1`, `2`, `"Ann"`, `[]`}, `4 args for 5 parameters`},
+	} {
+		_, errs := def(tc.args...).Compile()
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.want) {
+			t.Errorf("args %v: errors %v, want one containing %q", tc.args, errs, tc.want)
+		}
 	}
 }

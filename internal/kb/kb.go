@@ -1,16 +1,24 @@
 // Package kb is the knowledge base of the paper's Section III/VI artifact:
-// twenty-four unique, reusable patterns plus the per-assignment pattern
-// selections and constraint sets for the twelve assignments of Table I.
+// twenty-four unique, reusable patterns plus the twelve assignments of
+// Table I, each defined by one file.
 //
 // The knowledge base is data, embedded from builtin/:
 //
 //   - catalog.json: the 24 patterns, a JSON array in pattern.ReadAll's format;
 //   - extensions.json: the Section VII extension patterns, same format;
 //   - assignments/<id>.json: one AssignmentDef per Table I assignment, the
-//     same file format semfeedd hot-loads from its KB directory.
+//     same file format semfeedd hot-loads from its KB directory. Besides its
+//     patterns and constraints, each file holds the assignment's course, its
+//     synthetic submission space (synth), its functional-test suite (tests)
+//     and its published Table I row (paper);
+//   - fixtures/: the files those suites read, named by path from tests.files;
+//   - strategies/<name>.json: the Section VII strategy bundles, each an
+//     AssignmentDef with one method (Strategy).
 //
-// Builtin compiles an assignment file through ReadAssignmentDef and
-// AssignmentDef.Compile, the path every uploaded definition takes.
+// Nothing compiles at package init. The pattern files compile on first use;
+// Builtin compiles an assignment file through ReadAssignmentDef,
+// AssignmentDef.Compile and AssignmentDef.Suite, the path every uploaded
+// definition takes.
 //
 // Pattern variables are globally unique across patterns so that any two
 // patterns can be correlated by containment constraints (Definition 10
@@ -22,34 +30,47 @@ import (
 	"embed"
 	"errors"
 	"fmt"
+	"path"
 	"sort"
+	"sync"
 
 	"semfeed/internal/core"
+	"semfeed/internal/functest"
 	"semfeed/internal/pattern"
 )
 
 //go:embed builtin
 var builtin embed.FS
 
-// catalog holds the 24 unique patterns, compiled once at init.
-var catalog = map[string]*pattern.Compiled{}
+var (
+	loadPatterns sync.Once
+	catalog      map[string]*pattern.Compiled // the 24 published patterns
+	extensions   map[string]*pattern.Compiled // the Section VII extensions
+)
 
-func init() {
-	for _, p := range mustReadPatterns("builtin/catalog.json") {
-		if _, dup := catalog[p.Name()]; dup {
-			panic("kb: duplicate pattern " + p.Name())
+// patterns compiles the embedded pattern files on first use and returns the
+// catalog and the extension patterns, keyed by name.
+func patterns() (cat, ext map[string]*pattern.Compiled) {
+	loadPatterns.Do(func() {
+		catalog = map[string]*pattern.Compiled{}
+		for _, p := range mustReadPatterns("builtin/catalog.json") {
+			if _, dup := catalog[p.Name()]; dup {
+				panic("kb: duplicate pattern " + p.Name())
+			}
+			catalog[p.Name()] = p
 		}
-		catalog[p.Name()] = p
-	}
-	for _, p := range mustReadPatterns("builtin/extensions.json") {
-		if _, dup := extensions[p.Name()]; dup {
-			panic("kb: duplicate extension pattern " + p.Name())
+		extensions = map[string]*pattern.Compiled{}
+		for _, p := range mustReadPatterns("builtin/extensions.json") {
+			if _, dup := extensions[p.Name()]; dup {
+				panic("kb: duplicate extension pattern " + p.Name())
+			}
+			if _, dup := catalog[p.Name()]; dup {
+				panic("kb: extension pattern shadows catalog pattern " + p.Name())
+			}
+			extensions[p.Name()] = p
 		}
-		if _, dup := catalog[p.Name()]; dup {
-			panic("kb: extension pattern shadows catalog pattern " + p.Name())
-		}
-		extensions[p.Name()] = p
-	}
+	})
+	return catalog, extensions
 }
 
 func mustReadPatterns(path string) []*pattern.Compiled {
@@ -79,23 +100,63 @@ func AssignmentJSON(id string) (data []byte, ok bool) {
 }
 
 // Builtin compiles the embedded definition of a builtin assignment through
-// ReadAssignmentDef and Compile. The files are compiled into the binary, so
-// an unknown id or any violation is a bug: Builtin panics on it.
-func Builtin(id string) (*AssignmentDef, *core.AssignmentSpec) {
+// ReadAssignmentDef, Compile and Suite, which reads the fixtures the file
+// names from the embedded tree. The files are compiled into the binary, so
+// an unknown id or any violation is a bug: Builtin panics on it. Nothing
+// runs the reference: the recorded outputs are data, which the assignments
+// tests and kblint re-derive.
+func Builtin(id string) (*AssignmentDef, *core.AssignmentSpec, *functest.Suite) {
 	data, ok := AssignmentJSON(id)
 	if !ok {
 		panic("kb: no builtin assignment " + id)
 	}
-	def, err := ReadAssignmentDef(bytes.NewReader(data))
+	def, spec := mustCompile("assignments/"+id, data)
+	tests, err := def.Suite(func(p string) ([]byte, error) {
+		return builtin.ReadFile(path.Join("builtin/assignments", p))
+	})
 	if err != nil {
 		panic(fmt.Sprintf("kb: builtin %s: %v", id, err))
 	}
-	if def.ID != id {
-		panic(fmt.Sprintf("kb: builtin %s: file holds assignment %q", id, def.ID))
+	return def, spec, tests
+}
+
+// Strategy compiles the embedded strategy bundle builtin/strategies/<name>.json
+// (the paper's Section VII future work): a definition with one method whose
+// pattern uses, groups and constraints core.MethodSpec.Apply adds to any
+// method, enforcing one algorithmic approach wholesale. It panics on an
+// unknown name.
+func Strategy(name string) core.Strategy {
+	data, err := builtin.ReadFile("builtin/strategies/" + name + ".json")
+	if err != nil {
+		panic("kb: unknown strategy " + name)
+	}
+	def, spec := mustCompile("strategies/"+name, data)
+	if len(spec.Methods) != 1 {
+		panic(fmt.Sprintf("kb: strategy %s has %d methods, want 1", name, len(spec.Methods)))
+	}
+	m := spec.Methods[0]
+	return core.Strategy{
+		Name:        def.ID,
+		Description: def.Description,
+		Patterns:    m.Patterns,
+		Groups:      m.Groups,
+		Constraints: m.Constraints,
+	}
+}
+
+// mustCompile reads and compiles the embedded definition file builtin/<name>.json,
+// whose id must be its base name, panicking on any violation.
+func mustCompile(name string, data []byte) (*AssignmentDef, *core.AssignmentSpec) {
+	def, err := ReadAssignmentDef(bytes.NewReader(data))
+	if err != nil {
+		panic(fmt.Sprintf("kb: builtin %s: %v", name, err))
+	}
+	if def.ID != path.Base(name) {
+		panic(fmt.Sprintf("kb: builtin %s: file holds %q", name, def.ID))
 	}
 	spec, errs := def.Compile()
 	if len(errs) > 0 {
-		panic(fmt.Sprintf("kb: builtin %s: %v", id, errors.Join(errs...)))
+		panic(fmt.Sprintf("kb: builtin %s: %v", name, errors.Join(errs...)))
 	}
 	return def, spec
 }
@@ -103,7 +164,8 @@ func Builtin(id string) (*AssignmentDef, *core.AssignmentSpec) {
 // Pattern returns a compiled pattern from the catalog by name; it panics on
 // unknown names (the catalog is static).
 func Pattern(name string) *pattern.Compiled {
-	p, ok := catalog[name]
+	cat, _ := patterns()
+	p, ok := cat[name]
 	if !ok {
 		panic("kb: unknown pattern " + name)
 	}
@@ -111,12 +173,17 @@ func Pattern(name string) *pattern.Compiled {
 }
 
 // Registry returns the full catalog keyed by name (for constraint compilation).
-func Registry() map[string]*pattern.Compiled { return catalog }
+func Registry() map[string]*pattern.Compiled {
+	cat, _ := patterns()
+	return cat
+}
 
 // Names returns the catalog's pattern names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(catalog))
-	for n := range catalog {
+func Names() []string { return sortedNames(Registry()) }
+
+func sortedNames(m map[string]*pattern.Compiled) []string {
+	out := make([]string, 0, len(m))
+	for n := range m {
 		out = append(out, n)
 	}
 	sort.Strings(out)

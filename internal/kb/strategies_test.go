@@ -12,7 +12,7 @@ func TestSequentialParityScanStrategy(t *testing.T) {
 		Name:    "strategy-demo",
 		Methods: []core.MethodSpec{{Name: "assignment1"}},
 	}
-	spec.Methods[0].Apply(kb.SequentialParityScanStrategy())
+	spec.Methods[0].Apply(kb.Strategy("sequential-parity-scan"))
 	if got := spec.PatternCount(); got != 6 {
 		t.Errorf("patterns applied = %d, want 6", got)
 	}
@@ -66,7 +66,7 @@ func TestDigitReverseStrategy(t *testing.T) {
 		Name:    "reverse-demo",
 		Methods: []core.MethodSpec{{Name: "rev"}},
 	}
-	spec.Methods[0].Apply(kb.DigitReverseStrategy())
+	spec.Methods[0].Apply(kb.Strategy("digit-reverse"))
 
 	good := `int rev(int k) {
 	  int r = 0;

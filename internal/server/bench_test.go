@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"semfeed/internal/assignments"
+	"semfeed/internal/store"
 )
 
 // benchGrade serves one POST /v1/grade through h without a socket and fails
@@ -32,7 +33,7 @@ func gradeBody(b *testing.B, src string) []byte {
 // BenchmarkGradeHit is one store hit: the assignment1 reference resubmitted
 // after a first POST graded and stored it.
 func BenchmarkGradeHit(b *testing.B) {
-	h := New(Config{Registry: testRegistry(b)}).Handler()
+	h := New(Config{Registry: testRegistry(b), Store: store.NewMemory(4096)}).Handler()
 	body := gradeBody(b, assignments.Get("assignment1").Reference())
 	benchGrade(b, h, body)
 	b.ReportAllocs()
@@ -45,7 +46,7 @@ func BenchmarkGradeHit(b *testing.B) {
 // BenchmarkGradeMiss is one store miss: the assignment1 reference with a
 // trailing comment distinct per iteration, so each POST grades and stores.
 func BenchmarkGradeMiss(b *testing.B) {
-	h := New(Config{Registry: testRegistry(b)}).Handler()
+	h := New(Config{Registry: testRegistry(b), Store: store.NewMemory(4096)}).Handler()
 	ref := assignments.Get("assignment1").Reference()
 	bodies := make([][]byte, b.N)
 	for i := range bodies {

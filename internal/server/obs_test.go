@@ -114,6 +114,7 @@ func TestGradeCorrelation(t *testing.T) {
 	var logBuf bytes.Buffer
 	srv := New(Config{
 		Registry: testRegistry(t),
+		Store:    store.NewMemory(4096),
 		Logger:   obs.NewLogger(&logBuf, "json", slog.LevelInfo),
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -193,7 +194,7 @@ func TestGradeCorrelation(t *testing.T) {
 // carries one, so the stored bytes are the same for every request that
 // reads them.
 func TestStoredReportHasNoRequestID(t *testing.T) {
-	srv := New(Config{Registry: testRegistry(t)})
+	srv := New(Config{Registry: testRegistry(t), Store: store.NewMemory(4096)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -90,7 +90,7 @@ func TestGradeHitServesStoredBytes(t *testing.T) {
 // reply with cached flipped, sent with an exact Content-Length rather than
 // chunked.
 func TestGradeResubmitReply(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Registry: testRegistry(t)}).Handler())
+	ts := httptest.NewServer(New(Config{Registry: testRegistry(t), Store: store.NewMemory(4096)}).Handler())
 	defer ts.Close()
 
 	req := GradeRequest{Assignment: "assignment1", ID: "sub-1", Source: assignments.Get("assignment1").Reference()}

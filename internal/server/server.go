@@ -44,23 +44,12 @@ type Config struct {
 	QueueDepth int
 	// RequestTimeout is the per-request grading deadline (default 10s).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
-	// CacheSize is the result-cache capacity in entries (default 4096;
-	// negative disables caching). Ignored when Store is set.
-	CacheSize int
-	// Store overrides the result store. Nil builds an in-memory LRU of
-	// CacheSize entries (the single-process default); cluster workers plug
-	// in a disk-backed or peer-filling store here. Whatever the backend,
-	// keys are (assignment, KB version, source hash), so hot-reload
-	// invalidation holds across every tier.
+	// Store is the result store; nil means none, so every request is
+	// graded. A single process passes an in-memory LRU (store.NewMemory);
+	// cluster workers pass a disk-backed or peer-filling store. Whatever
+	// the backend, keys are (assignment, KB version, source hash), so
+	// hot-reload invalidation holds across every tier.
 	Store store.Store
-	// BatchWorkers is the per-batch grading pool size (default GOMAXPROCS).
-	BatchWorkers int
-	// MaxBodyBytes caps request bodies (default 4 MiB).
-	MaxBodyBytes int64
-	// Logf receives service diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 	// Logger receives structured event logs (one summary line per grade,
 	// batch, shed and drain event). Nil falls back to the process-wide
 	// obs.Logger(), which discards until obs.SetLogger is called.
@@ -81,22 +70,14 @@ func (c *Config) defaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 }
+
+const (
+	// retryAfterSeconds is the Retry-After hint returned with 429 responses.
+	retryAfterSeconds = 1
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 4 << 20
+)
 
 // Server is the grading service. Create with New, mount Handler (or Start a
 // listener), and Shutdown to drain.
@@ -104,7 +85,7 @@ type Server struct {
 	cfg      Config
 	grader   *core.Grader
 	adm      *admission
-	store    store.Store // nil when caching is disabled
+	store    store.Store // nil when there is no result store
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in the request-ID/SLO middleware
 	draining atomic.Bool
@@ -127,12 +108,7 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		grader: core.NewGrader(cfg.GradeOptions),
 		adm:    newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
-	}
-	switch {
-	case cfg.Store != nil:
-		s.store = cfg.Store
-	case cfg.CacheSize > 0:
-		s.store = store.NewMemory(cfg.CacheSize)
+		store:  cfg.Store,
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/grade", s.handleGrade)
@@ -287,8 +263,8 @@ type BatchRequest struct {
 		ID     string `json:"id,omitempty"`
 		Source string `json:"source"`
 	} `json:"submissions"`
-	// Workers overrides the per-batch pool size (capped by the server's
-	// configured BatchWorkers).
+	// Workers overrides the per-batch pool size, which is at most and by
+	// default GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -496,7 +472,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 	// Resolve resubmissions from the cache first; only the residue is
 	// graded. The whole batch holds one admission slot — its parallelism
-	// lives inside the slot, bounded by BatchWorkers.
+	// lives inside the slot, bounded by GOMAXPROCS.
 	keys := make([]store.Key, len(breq.Submissions))
 	var subs []core.Submission
 	var subIdx []int
@@ -523,8 +499,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		defer s.adm.release()
 
 		workers := breq.Workers
-		if workers <= 0 || workers > s.cfg.BatchWorkers {
-			workers = s.cfg.BatchWorkers
+		if limit := runtime.GOMAXPROCS(0); workers <= 0 || workers > limit {
+			workers = limit
 		}
 		ctx, cancel := context.WithTimeout(req.Context(), s.cfg.RequestTimeout)
 		defer cancel()
@@ -588,7 +564,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, req *http.Request, into an
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		obs.ServerErrorsTotal.Inc()
@@ -629,8 +605,8 @@ func (s *Server) admit(w http.ResponseWriter, req *http.Request, assignment stri
 			"request_id", rid,
 			"assignment", assignment,
 			"queued", s.adm.waiting(),
-			"retry_after_s", int(s.cfg.RetryAfter.Seconds()+0.5))
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.5)))
+			"retry_after_s", retryAfterSeconds)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		s.fail(w, http.StatusTooManyRequests, "admission queue full, retry later")
 		return false
 	default:

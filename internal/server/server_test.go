@@ -53,7 +53,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 }
 
 func TestGradeEndpoint(t *testing.T) {
-	srv := New(Config{Registry: testRegistry(t)})
+	srv := New(Config{Registry: testRegistry(t), Store: store.NewMemory(4096)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -98,6 +98,28 @@ func TestGradeEndpoint(t *testing.T) {
 	}
 }
 
+// TestNoStoreRegradesResubmission pins that a nil Config.Store means no
+// result store: an identical resubmission is graded again, not answered
+// from a default store. semfeedd passes nil for -cache 0 and -cache -1.
+func TestNoStoreRegradesResubmission(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Registry: testRegistry(t)}).Handler())
+	defer ts.Close()
+	req := GradeRequest{Assignment: "assignment1", Source: assignments.Get("assignment1").Reference()}
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submission %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var gr GradeResponse
+		if err := json.Unmarshal(body, &gr); err != nil {
+			t.Fatal(err)
+		}
+		if gr.Cached {
+			t.Fatalf("submission %d answered \"cached\": true with no result store", i)
+		}
+	}
+}
+
 func TestGradeErrors(t *testing.T) {
 	srv := New(Config{Registry: testRegistry(t)})
 	ts := httptest.NewServer(srv.Handler())
@@ -134,7 +156,7 @@ func TestGradeErrors(t *testing.T) {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	srv := New(Config{Registry: testRegistry(t)})
+	srv := New(Config{Registry: testRegistry(t), Store: store.NewMemory(4096)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -190,7 +212,7 @@ func TestQueueOverflowSheds429(t *testing.T) {
 		Registry:      testRegistry(t),
 		MaxConcurrent: 1,
 		QueueDepth:    1,
-		CacheSize:     -1, // cache off: every request must take the grading path
+		// No Store: every request must take the grading path.
 	})
 	hold := make(chan struct{})
 	started := make(chan struct{}, 4)
@@ -252,7 +274,7 @@ func TestQueueOverflowSheds429(t *testing.T) {
 // grading slot when SIGTERM-equivalent Shutdown begins still completes with
 // 200, readiness flips to draining, and Shutdown returns cleanly.
 func TestDrainCompletesInflight(t *testing.T) {
-	srv := New(Config{Registry: testRegistry(t), CacheSize: -1})
+	srv := New(Config{Registry: testRegistry(t)})
 	hold := make(chan struct{})
 	started := make(chan struct{}, 1)
 	srv.onSlotAcquired = func() {
@@ -323,7 +345,6 @@ func TestRequestDeadline(t *testing.T) {
 	srv := New(Config{
 		Registry:       testRegistry(t),
 		RequestTimeout: time.Nanosecond,
-		CacheSize:      -1,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -362,7 +383,7 @@ func TestKBHotReloadAndCacheKeying(t *testing.T) {
 	reg.Start(5 * time.Millisecond)
 	defer reg.Stop()
 
-	srv := New(Config{Registry: reg})
+	srv := New(Config{Registry: reg, Store: store.NewMemory(4096)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -452,7 +473,7 @@ func TestRegistrySkipsMalformedFile(t *testing.T) {
 // otherwise a client could plant a fabricated report and have handleGrade
 // serve it back as the official cached result.
 func TestStoreEndpointReadOnly(t *testing.T) {
-	srv := New(Config{Registry: testRegistry(t)})
+	srv := New(Config{Registry: testRegistry(t), Store: store.NewMemory(4096)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -14,16 +14,17 @@ import (
 // Choice is one choice point. Options[0] is the reference (correct) variant;
 // later options encode common student errors or benign stylistic variants.
 type Choice struct {
-	ID      string
-	Options []string
+	ID      string   `json:"id"`
+	Options []string `json:"options"`
 }
 
 // Spec describes one assignment's submission space: a source template whose
-// @{id} placeholders are substituted by choice options.
+// @{id} placeholders are substituted by choice options. It is the synth
+// section of a knowledge-base assignment file, where Name is the file's id.
 type Spec struct {
-	Name     string
-	Template string
-	Choices  []Choice
+	Name     string   `json:"-"`
+	Template string   `json:"template"`
+	Choices  []Choice `json:"choices"`
 }
 
 // Validate checks that every placeholder has a choice and vice versa, and
