@@ -22,15 +22,16 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Cheap CI guard for the perf-critical paths: compile and run the matcher,
-# batch-grading, grade-handler (store hit and miss) and interpreter
-# (terminating and step-limited) benchmarks once (-benchtime=1x), so
-# benchmark rot and gross regressions (panics, step-limit blowups) surface
-# on every push without the cost of a real measurement run.
+# batch-grading, grade-handler (store hit and miss), interpreter
+# (terminating and step-limited), EPDG-build and parser benchmarks once
+# (-benchtime=1x), so benchmark rot and gross regressions (panics,
+# step-limit blowups) surface on every push without the cost of a real
+# measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcher|BenchmarkMatcherColdGraphs' -benchtime=1x ./internal/match/
 	$(GO) test -run '^$$' -bench 'BenchmarkGradeAll' -benchtime=1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkGradeHit|BenchmarkGradeMiss' -benchtime=1x ./internal/server/
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled|BenchmarkInterpStepLimit|BenchmarkInterpTreeWalk' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled|BenchmarkInterpStepLimit|BenchmarkInterpTreeWalk|BenchmarkEPDGBuild|BenchmarkParse' -benchtime=1x .
 
 # Regenerate Table I (sampled; raise -n for tighter D estimates).
 table:

@@ -298,30 +298,16 @@ func ctrlSubtree(g *pdg.Graph, root int) []int {
 	var walk func(int)
 	walk = func(id int) {
 		for _, e := range g.Out(id) {
-			if e.Type != pdg.Ctrl {
-				continue
+			// Only descend to children, so TransitiveCtrl graphs do not
+			// double-count.
+			if e.Type == pdg.Ctrl && g.Parent(e.To) == id {
+				out = append(out, e.To)
+				walk(e.To)
 			}
-			// Only descend via innermost-parent edges, so TransitiveCtrl
-			// graphs do not double-count.
-			if innermostParent(g, e.To) != id {
-				continue
-			}
-			out = append(out, e.To)
-			walk(e.To)
 		}
 	}
 	walk(root)
 	return out
-}
-
-func innermostParent(g *pdg.Graph, id int) int {
-	parent := -1
-	for _, e := range g.In(id) {
-		if e.Type == pdg.Ctrl && e.From > parent {
-			parent = e.From
-		}
-	}
-	return parent
 }
 
 // NoReturn flags value-returning methods with a path that falls off the end

@@ -14,11 +14,10 @@ import (
 // follow the paper's one-iteration linearization). Facts are computed once
 // per graph and memoized on the Pass, so every analyzer shares them.
 //
-// Reconstruction uses three properties of the builder in internal/pdg:
+// Reconstruction uses three properties of the graphs internal/pdg builds:
 // node IDs are assigned in program order, each node's innermost controlling
-// condition is the source of its (highest-ID) incoming Ctrl edge, and Cond
-// nodes carry their construct kind (if / loop / for-each / switch) plus an
-// else-arm marker on their children.
+// condition is its Graph.Parent, and Cond nodes carry their construct kind
+// (if / loop / for-each / switch) plus an else-arm marker on their children.
 
 // CFG is the control-flow graph of one method's EPDG. Entry and Exit are
 // virtual nodes with IDs len(Nodes) and len(Nodes)+1.
@@ -94,15 +93,9 @@ func BuildCFG(g *pdg.Graph) *CFG {
 	}
 	b := &cfgBuilder{g: g, cfg: c, children: map[int][]int{}, edgeSeen: map[[2]int]bool{}}
 
-	// Control tree: each node hangs off its innermost Ctrl parent (the
-	// highest-ID Ctrl source, so the TransitiveCtrl ablation still resolves).
+	// Control tree: each node hangs off its innermost controlling condition.
 	for _, node := range g.Nodes {
-		parent := -1
-		for _, e := range g.In(node.ID) {
-			if e.Type == pdg.Ctrl && e.From > parent {
-				parent = e.From
-			}
-		}
+		parent := g.Parent(node.ID)
 		b.children[parent] = append(b.children[parent], node.ID)
 	}
 

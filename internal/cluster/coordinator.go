@@ -22,6 +22,10 @@ import (
 // request is retried on when Config.Replicas is negative ("use default").
 const DefaultReplicas = 2
 
+// maxBodyBytes caps request bodies and the batch-shard replies read back
+// from workers (16 MiB: batches pass through whole).
+const maxBodyBytes = 16 << 20
+
 // Config tunes the coordinator. The zero value (plus Workers) applies the
 // defaults noted on each field — except Replicas, where zero is a meaningful
 // setting (retries disabled) and negative selects the default.
@@ -45,9 +49,6 @@ type Config struct {
 	// request is retried on. Zero disables replica retries; negative means
 	// "use the default" (DefaultReplicas).
 	Replicas int
-	// MaxBodyBytes caps request bodies (default 16 MiB — batches pass
-	// through whole).
-	MaxBodyBytes int64
 	// Client is the proxy HTTP client; nil builds a pooled default.
 	Client *http.Client
 	// Logger receives structured event logs. Nil falls back to the
@@ -73,9 +74,6 @@ func (c *Config) defaults() {
 	}
 	if c.Replicas < 0 {
 		c.Replicas = DefaultReplicas
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -238,7 +236,7 @@ func (c *Coordinator) handleGrade(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -401,7 +399,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -579,7 +577,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker string, breq *server.
 		return out
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		out.err = err
 		return out

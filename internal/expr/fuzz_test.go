@@ -80,8 +80,7 @@ func FuzzTemplateMatch(f *testing.F) {
 		if alt != "" {
 			n.Alts = []string{alt}
 		}
-		g := pdg.NewGraph("f")
-		g.AddNode(n)
+		g := pdg.NewGraph("f", []*pdg.Node{n}, nil)
 
 		var l expr.Linked
 		tmpl.Link(g, &l)

@@ -3,7 +3,6 @@ package kb
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -52,6 +51,10 @@ type AssignmentDef struct {
 	Synth *synth.Spec `json:"synth,omitempty"`
 	Tests *TestsDef   `json:"tests,omitempty"`
 	Paper *PaperRow   `json:"paper,omitempty"`
+
+	// typed holds the test arguments a Compile without violations typed,
+	// which Suite reads rather than parse the reference again.
+	typed [][]interp.Value
 }
 
 // TestsDef is the functional-test suite of an assignment, the ground truth
@@ -153,8 +156,10 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 			fail("assignment %s: %v", d.ID, err)
 		}
 	}
+	var typed [][]interp.Value
 	if d.Tests != nil {
-		_, argErrs := d.args()
+		var argErrs []error
+		typed, argErrs = d.args()
 		errs = append(errs, argErrs...)
 	}
 
@@ -271,20 +276,21 @@ func (d *AssignmentDef) Compile() (*core.AssignmentSpec, []error) {
 	if len(errs) > 0 {
 		return nil, errs
 	}
+	d.typed = typed
 	return spec, nil
 }
 
-// Suite builds the functional-test suite of the tests section: arguments
-// typed as Compile checks them, the recorded wants, and each file read
-// through readFixture, which resolves a fixture path relative to the
-// definition file. It returns nil for a definition without tests.
+// Suite builds the functional-test suite of the tests section: the
+// arguments a successful Compile typed, the recorded wants, and each file
+// read through readFixture, which resolves a fixture path relative to the
+// definition file. It returns nil for a definition without tests, and an
+// error when no Compile of d has succeeded.
 func (d *AssignmentDef) Suite(readFixture func(path string) ([]byte, error)) (*functest.Suite, error) {
 	if d.Tests == nil {
 		return nil, nil
 	}
-	args, errs := d.args()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	if d.typed == nil {
+		return nil, fmt.Errorf("assignment %s: Suite before a successful Compile", d.ID)
 	}
 	var files map[string]string
 	for name, path := range d.Tests.Files {
@@ -299,7 +305,7 @@ func (d *AssignmentDef) Suite(readFixture func(path string) ([]byte, error)) (*f
 	}
 	suite := &functest.Suite{Entry: d.Tests.Entry, MaxSteps: d.Tests.MaxSteps, Cases: make([]functest.Case, len(d.Tests.Cases))}
 	for i, c := range d.Tests.Cases {
-		suite.Cases[i] = functest.Case{Name: c.Name, Args: args[i], Files: files, Want: c.Want}
+		suite.Cases[i] = functest.Case{Name: c.Name, Args: d.typed[i], Files: files, Want: c.Want}
 	}
 	return suite, nil
 }

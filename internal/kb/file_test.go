@@ -100,8 +100,9 @@ func TestAssignmentDefGroupsAndInline(t *testing.T) {
 }
 
 // TestAssignmentDefTestArgs pins how a tests section's plain JSON arguments
-// are typed by the reference's entry parameters, and that Compile rejects
-// every argument that does not fit its parameter.
+// are typed by the reference's entry parameters, that Compile rejects
+// every argument that does not fit its parameter, and that Suite then
+// refuses to build.
 func TestAssignmentDefTestArgs(t *testing.T) {
 	def := func(args ...string) *kb.AssignmentDef {
 		raw := make([]json.RawMessage, len(args))
@@ -148,9 +149,13 @@ func TestAssignmentDefTestArgs(t *testing.T) {
 		{[]string{`1`, `2`, `"Ann"`, `[1, "x"]`, `[]`}, `element 1: "x" does not fit int`},
 		{[]string{`1`, `2`, `"Ann"`, `[]`}, `4 args for 5 parameters`},
 	} {
-		_, errs := def(tc.args...).Compile()
+		bad := def(tc.args...)
+		_, errs := bad.Compile()
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.want) {
 			t.Errorf("args %v: errors %v, want one containing %q", tc.args, errs, tc.want)
+		}
+		if _, err := bad.Suite(nil); err == nil {
+			t.Errorf("args %v: Suite after a failed Compile returned no error", tc.args)
 		}
 	}
 }

@@ -147,8 +147,6 @@ func (w *Work) Add(other Work) {
 type Options struct {
 	// MaxEmbeddings caps the number of embeddings returned (default 256).
 	MaxEmbeddings int
-	// MaxSteps caps the number of candidate extensions tried (default 1e6).
-	MaxSteps int
 	// PaperOrder disables candidate-count ordering of pattern nodes and
 	// processes them in declaration order, as Algorithm 1 is written.
 	// Used by the ordering ablation bench.
@@ -166,6 +164,10 @@ type Options struct {
 	Done <-chan struct{}
 }
 
+// MaxSteps caps the number of candidate extensions one search tries; a
+// search that reaches it returns the embeddings found so far.
+const MaxSteps = 1_000_000
+
 // cancelPollInterval is how many candidate extensions run between Done
 // polls: frequent enough that a deadline cuts a pathological search within
 // microseconds, rare enough that the select never shows up in profiles.
@@ -176,13 +178,6 @@ func (o Options) maxEmbeddings() int {
 		return o.MaxEmbeddings
 	}
 	return 256
-}
-
-func (o Options) maxSteps() int {
-	if o.MaxSteps > 0 {
-		return o.MaxSteps
-	}
-	return 1_000_000
 }
 
 // Find computes the embeddings of p in g (Algorithm 1) with default options.
@@ -213,7 +208,7 @@ func FindOpts(p *pattern.Compiled, g *pdg.Graph, opts Options) []Embedding {
 		Embeddings: int64(len(s.out)),
 		GammaTries: int64(s.gammaTries),
 	}
-	if s.steps >= opts.maxSteps() {
+	if s.steps >= MaxSteps {
 		work.StepLimitHits = 1
 	}
 	if s.cancelled {
@@ -577,7 +572,7 @@ func (s *searcher) search(depth int) {
 			continue
 		}
 		s.steps++
-		if s.steps >= s.opts.maxSteps() {
+		if s.steps >= MaxSteps {
 			return
 		}
 		if s.opts.Done != nil && s.steps%cancelPollInterval == 0 {
@@ -629,7 +624,7 @@ func (s *searcher) search(depth int) {
 
 // stop reports whether the search must end: cancelled, or a cap reached.
 func (s *searcher) stop() bool {
-	return s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= s.opts.maxSteps()
+	return s.cancelled || len(s.out) >= s.opts.maxEmbeddings() || s.steps >= MaxSteps
 }
 
 // emit records the complete embedding in ι and γ unless an identical one

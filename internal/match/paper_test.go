@@ -191,8 +191,8 @@ func TestPaperSearchSpace(t *testing.T) {
 	g := buildGraph(t, fig2a)
 	pa := patternA(t)
 	phi := match.SearchSpace(pa, g)
-	assigns := len(g.NodesOfType(pdg.Assign))
-	conds := len(g.NodesOfType(pdg.Cond))
+	assigns := len(g.Index().Candidates(pdg.Assign))
+	conds := len(g.Index().Candidates(pdg.Cond))
 	if assigns != 6 || conds != 3 {
 		t.Fatalf("graph has %d Assign, %d Cond nodes; want 6 and 3\n%s", assigns, conds, g)
 	}

@@ -70,12 +70,9 @@ func injections(xs, ys []string) []map[string]string {
 // are filled; Done is ignored.
 func referenceFind(p *pattern.Compiled, g *pdg.Graph, opts match.Options) []match.Embedding {
 	s := &refSearcher{p: p, g: g, opts: opts, gamma: map[string]string{}, ranGamma: map[string]bool{}, seen: map[string]bool{}}
-	s.maxEmb, s.maxSteps = opts.MaxEmbeddings, opts.MaxSteps
+	s.maxEmb = opts.MaxEmbeddings
 	if s.maxEmb <= 0 {
 		s.maxEmb = 256
-	}
-	if s.maxSteps <= 0 {
-		s.maxSteps = 1_000_000
 	}
 	s.iota = make([]int, len(p.Nodes))
 	for i := range s.iota {
@@ -88,7 +85,7 @@ func referenceFind(p *pattern.Compiled, g *pdg.Graph, opts match.Options) []matc
 	s.search(0)
 	if opts.Work != nil {
 		w := match.Work{Calls: 1, Steps: int64(s.steps), Backtracks: int64(s.backtracks), Embeddings: int64(len(s.out))}
-		if s.steps >= s.maxSteps {
+		if s.steps >= match.MaxSteps {
 			w.StepLimitHits = 1
 		}
 		opts.Work.Add(w)
@@ -97,10 +94,10 @@ func referenceFind(p *pattern.Compiled, g *pdg.Graph, opts match.Options) []matc
 }
 
 type refSearcher struct {
-	p                *pattern.Compiled
-	g                *pdg.Graph
-	opts             match.Options
-	maxEmb, maxSteps int
+	p      *pattern.Compiled
+	g      *pdg.Graph
+	opts   match.Options
+	maxEmb int
 
 	phi   [][]int
 	order []int
@@ -215,7 +212,7 @@ func (s *refSearcher) computeOrder() {
 	}
 }
 
-func (s *refSearcher) stop() bool { return len(s.out) >= s.maxEmb || s.steps >= s.maxSteps }
+func (s *refSearcher) stop() bool { return len(s.out) >= s.maxEmb || s.steps >= match.MaxSteps }
 
 func (s *refSearcher) search(depth int) {
 	if s.stop() {
@@ -244,7 +241,7 @@ func (s *refSearcher) search(depth int) {
 			continue
 		}
 		s.steps++
-		if s.steps >= s.maxSteps {
+		if s.steps >= match.MaxSteps {
 			return
 		}
 		if !s.edgesHold(ui, vid) {

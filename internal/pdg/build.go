@@ -36,26 +36,26 @@ func Build(m *ast.Method) *Graph {
 
 // BuildWith constructs the EPDG with explicit construction options.
 func BuildWith(m *ast.Method, opts BuildOpts) *Graph {
-	b := &builder{g: NewGraph(m.Name), opts: opts, elseArm: -1}
+	b := &builder{opts: opts, elseArm: -1}
 	defs := defEnv{}
 	for _, p := range m.Params {
-		n := b.g.AddNode(&Node{
+		n := b.addNode(&Node{
 			Type:    Decl,
 			Content: p.Type.String() + " " + p.Name,
 			Alts:    []string{p.Name},
 			Vars:    []string{p.Name},
 			Defs:    []string{p.Name},
 			Line:    p.P.Line,
-		})
+		}, -1, defs)
 		defs.kill(p.Name, n.ID)
 	}
 	if m.Body != nil {
 		b.stmts(m.Body.Stmts, -1, defs)
 	}
 	obs.EPDGBuildsTotal.Inc()
-	obs.EPDGNodesTotal.Add(int64(len(b.g.Nodes)))
-	obs.EPDGEdgesTotal.Add(int64(len(b.g.Edges)))
-	return b.g
+	obs.EPDGNodesTotal.Add(int64(len(b.nodes)))
+	obs.EPDGEdgesTotal.Add(int64(len(b.edges)))
+	return NewGraph(m.Name, b.nodes, b.edges)
 }
 
 // BuildAll constructs the EPDG of every method in the unit, keyed by method
@@ -115,43 +115,42 @@ func merge(envs ...defEnv) defEnv {
 }
 
 type builder struct {
-	g    *Graph
-	opts BuildOpts
-	// condParent records each Cond node's own controlling Cond, so the
-	// TransitiveCtrl ablation can walk the chain outward.
-	condParent map[int]int
+	opts  BuildOpts
+	nodes []*Node
+	edges []Edge
+	// parents holds each node's innermost controlling Cond (-1 for none),
+	// so the TransitiveCtrl ablation can walk the chain outward.
+	parents []int
 	// elseArm is the Cond node whose else branch is currently being built
 	// (-1 outside any else branch): nodes created with that parent are the
 	// else arm's direct children and get Node.Else set.
 	elseArm int
 }
 
-// addNode creates a node, wires its Ctrl edge from the innermost controlling
-// condition (parent), and its Data edges from the reaching definitions of the
-// variables it uses.
+// addNode appends a node with the next ID, its Ctrl edge from the innermost
+// controlling condition (parent), and its Data edges from the reaching
+// definitions of the variables it uses. Uses are distinct and each
+// definition site appears once per variable, so no edge is added twice; the
+// Ctrl edges come first, in the (To, Type) order NewGraph requires.
 func (b *builder) addNode(n *Node, parent int, defs defEnv) *Node {
-	b.g.AddNode(n)
+	n.ID = len(b.nodes)
+	b.nodes = append(b.nodes, n)
+	b.parents = append(b.parents, parent)
 	if parent >= 0 {
 		if parent == b.elseArm {
 			n.Else = true
 		}
-		b.g.AddEdge(parent, n.ID, Ctrl)
+		b.edges = append(b.edges, Edge{From: parent, To: n.ID, Type: Ctrl})
 		if b.opts.TransitiveCtrl {
-			for p, ok := b.condParent[parent]; ok && p >= 0; p, ok = b.condParent[p] {
-				b.g.AddEdge(p, n.ID, Ctrl)
+			for p := b.parents[parent]; p >= 0; p = b.parents[p] {
+				b.edges = append(b.edges, Edge{From: p, To: n.ID, Type: Ctrl})
 			}
 		}
-	}
-	if n.Type == Cond {
-		if b.condParent == nil {
-			b.condParent = map[int]int{}
-		}
-		b.condParent[n.ID] = parent
 	}
 	for _, u := range n.Uses {
 		for _, def := range defs[u] {
 			if def != n.ID {
-				b.g.AddEdge(def, n.ID, Data)
+				b.edges = append(b.edges, Edge{From: def, To: n.ID, Type: Data})
 			}
 		}
 	}

@@ -10,12 +10,18 @@
 //   - Data edges are computed on a one-iteration, conditions-taken
 //     linearization of the method (the Bhattacharjee & Jamil convention):
 //     no loop back-edges and no "condition not fulfilled" skip paths.
+//
+// A graph is immutable: the builder collects a method's nodes and edges and
+// hands them to NewGraph, which lays out the adjacency once. Every method of
+// Graph only reads, so graphs are safe to share across grading goroutines.
 package pdg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
 
 // NodeType is the type of an EPDG node (Definition 1).
@@ -145,27 +151,16 @@ type Node struct {
 	// a[i] = e updates part of a, so earlier definitions of a survive).
 	WeakDef bool
 
-	// rend caches Renderings once the node is in a graph (see AddNode); one
-	// backs it for a node without alternatives.
+	// rend holds Renderings, fixed by NewGraph; one backs it for a node
+	// without alternatives.
 	rend []string
 	one  [1]string
 }
 
-// Renderings returns the canonical content followed by any alternatives.
-// For a node in a graph the slice is computed once, when the node is added,
-// and shared: callers must not modify it.
-func (n *Node) Renderings() []string {
-	if n.rend != nil {
-		return n.rend
-	}
-	return n.renderings()
-}
-
-func (n *Node) renderings() []string {
-	out := make([]string, 0, 1+len(n.Alts))
-	out = append(out, n.Content)
-	return append(out, n.Alts...)
-}
+// Renderings returns the canonical content followed by any alternatives, as
+// NewGraph fixed them (nil for a node in no graph). The slice is shared:
+// callers must not modify it.
+func (n *Node) Renderings() []string { return n.rend }
 
 // String renders the node for diagnostics, e.g. "v3:Assign(int i = 0)".
 func (n *Node) String() string {
@@ -178,74 +173,98 @@ type Edge struct {
 	Type     EdgeType
 }
 
-// Graph is an extended program dependence graph of one method.
+// Graph is an extended program dependence graph of one method. Build it with
+// NewGraph; it never changes afterwards.
 type Graph struct {
-	Method string // method name
-	Nodes  []*Node
-	Edges  []Edge
+	Method string  // method name
+	Nodes  []*Node // Nodes[i].ID == i
+	Edges  []Edge  // ordered by (To, Type), so In(id) is one run of it
 
-	adj map[edgeKey]bool
-	out map[int][]Edge
-	in  map[int][]Edge
+	inAt   []int32 // In(id) is Edges[inAt[id]:inAt[id+1]]
+	out    []Edge  // Edges grouped by From, each group in Edges order
+	outAt  []int32 // Out(id) is out[outAt[id]:outAt[id+1]]
+	parent []int32 // per node, its control parent (see Parent)
 
-	// idx caches the candidate index (see Index); mutations invalidate it.
-	idx atomic.Pointer[Index]
+	idxOnce sync.Once
+	idx     *Index
 }
 
-type edgeKey struct {
-	from, to int
-	typ      EdgeType
-}
-
-// NewGraph returns an empty graph for the named method.
-func NewGraph(method string) *Graph {
-	return &Graph{
+// NewGraph makes the graph of the named method from its nodes and edges,
+// taking ownership of both slices. It numbers the nodes by position, fixes
+// their renderings, and lays out each node's in- and out-edges and its
+// control parent. Edges must be distinct, name nodes of the graph and come
+// ordered by (To, Type), as the builder emits them; NewGraph panics on
+// edges out of that order.
+func NewGraph(method string, nodes []*Node, edges []Edge) *Graph {
+	if !slices.IsSortedFunc(edges, byTarget) {
+		panic("pdg: NewGraph of " + method + ": edges not ordered by (To, Type)")
+	}
+	n := len(nodes)
+	g := &Graph{
 		Method: method,
-		adj:    make(map[edgeKey]bool),
-		out:    make(map[int][]Edge),
-		in:     make(map[int][]Edge),
+		Nodes:  nodes,
+		Edges:  edges,
+		inAt:   make([]int32, n+1),
+		out:    make([]Edge, len(edges)),
+		outAt:  make([]int32, n+1),
+		parent: make([]int32, n),
 	}
+	for i, nd := range nodes {
+		nd.ID = i
+		nd.one[0] = nd.Content
+		nd.rend = append(nd.one[:1:1], nd.Alts...) // copies only with Alts
+		g.parent[i] = -1
+	}
+	for _, e := range edges {
+		g.inAt[e.To+1]++
+		g.outAt[e.From]++
+		if e.Type == Ctrl && int32(e.From) > g.parent[e.To] {
+			g.parent[e.To] = int32(e.From)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		g.inAt[i] += g.inAt[i-1]
+		g.outAt[i] += g.outAt[i-1]
+	}
+	// outAt[id] now ends id's run of out; filling each run back to front
+	// from the back of Edges leaves outAt[id] at its start and keeps the
+	// run in Edges order.
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		g.outAt[e.From]--
+		g.out[g.outAt[e.From]] = e
+	}
+	return g
 }
 
-// AddNode appends a node, assigning it the next ID, and returns it. The
-// node's Content and Alts must be final: its renderings are fixed here.
-func (g *Graph) AddNode(n *Node) *Node {
-	n.ID = len(g.Nodes)
-	if len(n.Alts) == 0 {
-		n.one[0] = n.Content
-		n.rend = n.one[:]
-	} else {
-		n.rend = n.renderings()
+// byTarget orders edges by (To, Type): the order of Graph.Edges and of each
+// run of Out.
+func byTarget(a, b Edge) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
 	}
-	g.Nodes = append(g.Nodes, n)
-	g.idx.Store(nil)
-	return n
-}
-
-// AddEdge inserts an edge unless it is already present.
-func (g *Graph) AddEdge(from, to int, typ EdgeType) {
-	k := edgeKey{from, to, typ}
-	if g.adj[k] {
-		return
-	}
-	g.adj[k] = true
-	e := Edge{From: from, To: to, Type: typ}
-	g.Edges = append(g.Edges, e)
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	g.idx.Store(nil)
+	return cmp.Compare(a.Type, b.Type)
 }
 
 // HasEdge reports whether the typed edge exists.
 func (g *Graph) HasEdge(from, to int, typ EdgeType) bool {
-	return g.adj[edgeKey{from, to, typ}]
+	_, found := slices.BinarySearchFunc(g.Out(from), Edge{To: to, Type: typ}, byTarget)
+	return found
 }
 
-// Out returns the outgoing edges of node id.
-func (g *Graph) Out(id int) []Edge { return g.out[id] }
+// Out returns the outgoing edges of node id, ordered by target. The slice is
+// shared: callers must not modify it.
+func (g *Graph) Out(id int) []Edge { return g.out[g.outAt[id]:g.outAt[id+1]] }
 
-// In returns the incoming edges of node id.
-func (g *Graph) In(id int) []Edge { return g.in[id] }
+// In returns the incoming edges of node id, Ctrl before Data. The slice is
+// shared: callers must not modify it.
+func (g *Graph) In(id int) []Edge { return g.Edges[g.inAt[id]:g.inAt[id+1]] }
+
+// Parent returns node id's innermost controlling condition: the highest-ID
+// source of its Ctrl in-edges, or -1 for a node no condition controls. The
+// builder numbers nodes in program order, so under TransitiveCtrl too this
+// is the condition the node is nested in directly.
+func (g *Graph) Parent(id int) int { return int(g.parent[id]) }
 
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id int) *Node {
@@ -253,17 +272,6 @@ func (g *Graph) Node(id int) *Node {
 		return nil
 	}
 	return g.Nodes[id]
-}
-
-// NodesOfType returns the IDs of all nodes with the given type, in order.
-func (g *Graph) NodesOfType(t NodeType) []int {
-	var ids []int
-	for _, n := range g.Nodes {
-		if n.Type == t {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids
 }
 
 // String renders the whole graph in a compact diagnostic form.

@@ -16,11 +16,11 @@ import "semfeed/internal/java/pretty"
 // rendering. IDs are per graph: the table lives and dies with its graph, so
 // no process-wide table grows with the tokens students write.
 //
-// The index is built lazily on first use and cached on the graph; any later
-// mutation through AddNode/AddEdge invalidates it. Concurrent Index calls may
-// race to build, but every builder produces an identical index, so the last
-// store wins harmlessly — graphs are safe to share read-only across grading
-// goroutines, which is exactly the batch-engine access pattern.
+// The index is built once, on first use, and cached on the graph: a graph
+// never changes after NewGraph, so nothing invalidates it. Concurrent Index
+// calls wait for the one build, which is what lets grading goroutines share
+// a graph (the batch-engine access pattern). A graph no pattern is matched
+// against never pays for the token table.
 
 const numNodeTypes = len(nodeTypeNames)
 
@@ -51,15 +51,10 @@ func NeighborBit(out bool, et EdgeType, nt NodeType) uint32 {
 	return 1 << bit
 }
 
-// Index returns the graph's candidate index, building and caching it on
-// first use.
+// Index returns the graph's candidate index, building it on first use.
 func (g *Graph) Index() *Index {
-	if ix := g.idx.Load(); ix != nil {
-		return ix
-	}
-	ix := g.buildIndex()
-	g.idx.Store(ix)
-	return ix
+	g.idxOnce.Do(func() { g.idx = g.buildIndex() })
+	return g.idx
 }
 
 func (g *Graph) buildIndex() *Index {

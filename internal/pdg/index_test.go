@@ -6,16 +6,17 @@ import (
 )
 
 func indexFixture() *Graph {
-	g := NewGraph("f")
-	g.AddNode(&Node{Type: Decl, Content: "int x = 0"})   // v0
-	g.AddNode(&Node{Type: Cond, Content: "x < 10"})      // v1
-	g.AddNode(&Node{Type: Assign, Content: "x = x + 1"}) // v2
-	g.AddNode(&Node{Type: Return, Content: "return x"})  // v3
-	g.AddEdge(0, 1, Data)
-	g.AddEdge(0, 2, Data)
-	g.AddEdge(1, 2, Ctrl)
-	g.AddEdge(2, 3, Data)
-	return g
+	return NewGraph("f", []*Node{
+		{Type: Decl, Content: "int x = 0"},   // v0
+		{Type: Cond, Content: "x < 10"},      // v1
+		{Type: Assign, Content: "x = x + 1"}, // v2
+		{Type: Return, Content: "return x"},  // v3
+	}, []Edge{
+		{From: 0, To: 1, Type: Data},
+		{From: 1, To: 2, Type: Ctrl},
+		{From: 0, To: 2, Type: Data},
+		{From: 2, To: 3, Type: Data},
+	})
 }
 
 func TestIndexCandidatesAndDegrees(t *testing.T) {
@@ -50,37 +51,13 @@ func TestIndexCandidatesAndDegrees(t *testing.T) {
 	}
 }
 
-func TestIndexInvalidatedByMutation(t *testing.T) {
-	g := indexFixture()
-	before := g.Index()
-	if g.Index() != before {
-		t.Fatal("index not cached between calls")
-	}
-	g.AddNode(&Node{Type: Assign, Content: "x = 0"})
-	after := g.Index()
-	if after == before {
-		t.Fatal("index not invalidated by AddNode")
-	}
-	if got := after.Candidates(Assign); len(got) != 2 {
-		t.Errorf("Candidates(Assign) after AddNode = %v, want 2 IDs", got)
-	}
-	g.AddEdge(3, 4, Ctrl)
-	final := g.Index()
-	if final == after {
-		t.Fatal("index not invalidated by AddEdge")
-	}
-	if d := final.OutDegree(3, Ctrl); d != 1 {
-		t.Errorf("OutDegree(v3, Ctrl) after AddEdge = %d, want 1", d)
-	}
-}
-
-// TestIndexConcurrentBuild races many readers on a freshly built graph; every
-// builder must produce an equivalent index and no call may observe a partial
-// one. Run with -race.
+// TestIndexConcurrentBuild races many first readers on a freshly built
+// graph: every one must get the same index, fully built. Run with -race.
 func TestIndexConcurrentBuild(t *testing.T) {
 	g := indexFixture()
+	got := make([]*Index, 8)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -88,7 +65,13 @@ func TestIndexConcurrentBuild(t *testing.T) {
 			if len(ix.Candidates(Assign)) != 1 || ix.OutDegree(0, Data) != 2 {
 				t.Error("concurrent Index returned inconsistent data")
 			}
+			got[i] = ix
 		}()
 	}
 	wg.Wait()
+	for _, ix := range got {
+		if ix != got[0] {
+			t.Fatal("concurrent Index calls built more than one index")
+		}
+	}
 }

@@ -48,16 +48,16 @@ func TestFig3EPDG(t *testing.T) {
 	if len(g.Nodes) != 12 {
 		t.Fatalf("want 12 nodes, got %d\n%s", len(g.Nodes), g)
 	}
-	if got := len(g.NodesOfType(pdg.Assign)); got != 6 {
+	if got := len(g.Index().Candidates(pdg.Assign)); got != 6 {
 		t.Errorf("Assign nodes = %d, want 6", got)
 	}
-	if got := len(g.NodesOfType(pdg.Cond)); got != 3 {
+	if got := len(g.Index().Candidates(pdg.Cond)); got != 3 {
 		t.Errorf("Cond nodes = %d, want 3", got)
 	}
-	if got := len(g.NodesOfType(pdg.Call)); got != 2 {
+	if got := len(g.Index().Candidates(pdg.Call)); got != 2 {
 		t.Errorf("Call nodes = %d, want 2", got)
 	}
-	if got := len(g.NodesOfType(pdg.Decl)); got != 1 {
+	if got := len(g.Index().Candidates(pdg.Decl)); got != 1 {
 		t.Errorf("Decl nodes = %d, want 1", got)
 	}
 
