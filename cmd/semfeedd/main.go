@@ -177,9 +177,7 @@ func main() {
 		driver = d
 	}
 
-	reg := server.NewRegistry(*kbDir, func(format string, args ...any) {
-		logger.Info("kb", "detail", fmt.Sprintf(format, args...))
-	})
+	reg := server.NewRegistry(*kbDir, logger)
 	if !*noBuiltin {
 		for _, a := range assignments.All() {
 			reg.AddBuiltin(a.ID, a.Spec)
@@ -208,7 +206,7 @@ func main() {
 			logger.Error("-peers requires -self (this worker's own base URL)")
 			os.Exit(2)
 		}
-		resultStore = cluster.NewPeerFill(resultStore, *self, peerList, *vnodes, nil)
+		resultStore = cluster.NewPeerFill(resultStore, *self, peerList, *vnodes)
 		logger.Info("peer fill enabled", "self", *self, "peers", len(peerList))
 	}
 

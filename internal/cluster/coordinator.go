@@ -49,8 +49,6 @@ type Config struct {
 	// request is retried on. Zero disables replica retries; negative means
 	// "use the default" (DefaultReplicas).
 	Replicas int
-	// Client is the proxy HTTP client; nil builds a pooled default.
-	Client *http.Client
 	// Logger receives structured event logs. Nil falls back to the
 	// process-wide obs.Logger().
 	Logger *slog.Logger
@@ -75,13 +73,6 @@ func (c *Config) defaults() {
 	if c.Replicas < 0 {
 		c.Replicas = DefaultReplicas
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 }
 
 // Coordinator is the routing tier: it owns no knowledge base and grades
@@ -93,6 +84,7 @@ func (c *Config) defaults() {
 // the worker down without waiting for a probe cycle.
 type Coordinator struct {
 	cfg      Config
+	client   *http.Client // pooled; proxies, shards, scrapes and trace fetches
 	members  *Membership
 	fed      *federator
 	mux      *http.ServeMux
@@ -108,9 +100,15 @@ func New(cfg Config) *Coordinator {
 	if len(cfg.Workers) == 0 {
 		panic("cluster: Config.Workers is required")
 	}
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	c := &Coordinator{
 		cfg:     cfg,
-		members: NewMembership(cfg.Workers, cfg.VNodes, cfg.Client),
+		client:  client,
+		members: NewMembership(cfg.Workers, cfg.VNodes, client),
 		fed:     newFederator(),
 	}
 	c.mux = http.NewServeMux()
@@ -337,7 +335,7 @@ func (c *Coordinator) forward(ctx context.Context, worker, path string, body []b
 		// its own trace identity.
 		preq.Header.Set("traceparent", traceparent)
 	}
-	resp, err := c.cfg.Client.Do(preq)
+	resp, err := c.client.Do(preq)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -571,7 +569,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker string, breq *server.
 	if tp != "" {
 		preq.Header.Set("traceparent", tp)
 	}
-	resp, err := c.cfg.Client.Do(preq)
+	resp, err := c.client.Do(preq)
 	if err != nil {
 		out.err = err
 		return out
@@ -638,7 +636,7 @@ func (c *Coordinator) handleAssignments(w http.ResponseWriter, req *http.Request
 			cancel()
 			continue
 		}
-		resp, err := c.cfg.Client.Do(preq)
+		resp, err := c.client.Do(preq)
 		if err != nil {
 			cancel()
 			c.members.ReportFailure(worker)
@@ -708,7 +706,7 @@ func (c *Coordinator) fetchTrace(ctx context.Context, worker, id string) obs.Rem
 		out.Err = err.Error()
 		return out
 	}
-	resp, err := c.cfg.Client.Do(preq)
+	resp, err := c.client.Do(preq)
 	if err != nil {
 		out.Err = err.Error()
 		return out

@@ -406,7 +406,7 @@ func TestPeerFillServesOwnedKeys(t *testing.T) {
 	}
 
 	local := store.NewMemory(16)
-	pf := NewPeerFill(local, other, []string{base1, base2}, DefaultVNodes, nil)
+	pf := NewPeerFill(local, other, []string{base1, base2}, DefaultVNodes)
 	got, ok := pf.Get(key)
 	if !ok || len(got) == 0 {
 		t.Fatal("peer fill did not serve the owner's cached result")

@@ -145,7 +145,7 @@ func (c *Coordinator) fetchJSON(ctx context.Context, url string, v any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return err
 	}

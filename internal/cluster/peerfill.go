@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"net/http"
-	"sync/atomic"
-	"time"
-
 	"semfeed/internal/obs"
 	"semfeed/internal/store"
 )
@@ -19,17 +15,14 @@ import (
 // peers instead of regrading.
 type peerRing struct {
 	self  string
-	ring  atomic.Pointer[Ring]
+	ring  *Ring
 	peers map[string]*store.Peer
 }
 
 // NewPeerFill wraps local with a ring-aware HTTP fill path over peers.
 // self must appear in peers (it identifies which keys are locally owned);
-// addresses are base URLs. client may be nil for a short-timeout default.
-func NewPeerFill(local store.Store, self string, peers []string, vnodes int, client *http.Client) store.Store {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
+// addresses are base URLs.
+func NewPeerFill(local store.Store, self string, peers []string, vnodes int) store.Store {
 	p := &peerRing{self: trimSlash(self), peers: make(map[string]*store.Peer, len(peers))}
 	members := make([]string, 0, len(peers))
 	for _, addr := range peers {
@@ -39,17 +32,17 @@ func NewPeerFill(local store.Store, self string, peers []string, vnodes int, cli
 		}
 		members = append(members, addr)
 		if addr != p.self {
-			p.peers[addr] = store.NewPeer(addr, client)
+			p.peers[addr] = store.NewPeer(addr)
 		}
 	}
-	p.ring.Store(NewRing(members, vnodes))
+	p.ring = NewRing(members, vnodes)
 	return &store.Tiered{Local: local, Fallback: p}
 }
 
 // Get asks the owning peer for k. Self-owned keys and unreachable owners are
 // plain misses — peer fill is an optimization, never a dependency.
 func (p *peerRing) Get(k store.Key) ([]byte, bool) {
-	owner := p.ring.Load().Lookup(RouteKey(k.Assignment, k.SourceHash))
+	owner := p.ring.Lookup(RouteKey(k.Assignment, k.SourceHash))
 	peer := p.peers[owner]
 	if peer == nil { // self-owned or unknown
 		obs.ClusterPeerFillMissesTotal.Inc()

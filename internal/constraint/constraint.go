@@ -10,7 +10,6 @@ import (
 
 	"semfeed/internal/expr"
 	"semfeed/internal/match"
-	"semfeed/internal/obs"
 	"semfeed/internal/pattern"
 	"semfeed/internal/pdg"
 )
@@ -220,13 +219,6 @@ const maxCombinations = 10_000
 // embeddings, the result is NotExpected (the grader additionally forces
 // NotExpected when a referenced pattern's occurrence count was off).
 func (c *Compiled) Check(g *pdg.Graph, embs map[string][]match.Embedding) Result {
-	res := c.check(g, embs)
-	obs.ConstraintChecksTotal.Inc()
-	obs.ConstraintCombosTotal.Add(int64(res.Combos))
-	return res
-}
-
-func (c *Compiled) check(g *pdg.Graph, embs map[string][]match.Embedding) Result {
 	for _, name := range c.Patterns() {
 		if len(embs[name]) == 0 {
 			return Result{Constraint: c, Status: NotExpected}

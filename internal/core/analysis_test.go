@@ -7,6 +7,7 @@ import (
 
 	"semfeed/internal/analysis"
 	"semfeed/internal/core"
+	"semfeed/internal/obs"
 )
 
 // buggySum has the sum pattern plus two defects the analyzers should catch:
@@ -107,6 +108,41 @@ func TestSpecAnalysisOverridesGraderDefault(t *testing.T) {
 	}
 	if len(rep.Diagnostics) != 0 {
 		t.Errorf("empty spec driver should disable analysis: %v", rep.Diagnostics)
+	}
+}
+
+// TestEmptyAnalysisDriverIsOff pins the empty driver (a KB assignment's
+// "analyzers": []) to the nil driver's behaviour, even over a grader
+// default: no analysis span, no analysis time, no phase slice, no counters.
+func TestEmptyAnalysisDriverIsOff(t *testing.T) {
+	obs.Enable()
+	obs.EnableTracing()
+	defer obs.Disable()
+	defer obs.DisableTracing()
+	spec := sumSpec("total")
+	spec.Analysis = analysis.NewDriver()
+	before, phaseBefore := obs.TakeSnapshot(), obs.PhaseNS.Value(spec.Name, "analysis")
+	rep, err := core.NewGrader(core.Options{Analyzers: analysis.DefaultDriver()}).Grade(buggySum, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.AnalysisTime != 0 || rep.Stats.AnalysisFindings != nil {
+		t.Errorf("empty driver charged analysis: %+v", rep.Stats)
+	}
+	after := obs.TakeSnapshot()
+	if got := after.Counter("semfeed_analysis_runs_total") - before.Counter("semfeed_analysis_runs_total"); got != 0 {
+		t.Errorf("semfeed_analysis_runs_total moved by %d", got)
+	}
+	if got := after.Histograms["semfeed_analysis_seconds"].Count - before.Histograms["semfeed_analysis_seconds"].Count; got != 0 {
+		t.Errorf("semfeed_analysis_seconds observed %d times", got)
+	}
+	if got := obs.PhaseNS.Value(spec.Name, "analysis") - phaseBefore; got != 0 {
+		t.Errorf("semfeed_phase_ns analysis slice moved by %d", got)
+	}
+	for _, sp := range obs.LastTrace().Spans {
+		if sp.Name == "analysis" {
+			t.Errorf("empty driver opened an analysis span:\n%s", obs.LastTrace().Tree())
+		}
 	}
 }
 

@@ -112,8 +112,7 @@ func (b *BatchGrader) GradeAll(ctx context.Context, spec *AssignmentSpec, subs [
 		if err != nil {
 			return nil, err
 		}
-		report := b.grader.GradeUnit(unit, spec)
-		return report, nil
+		return b.grader.GradeUnit(unit, spec), nil
 	}, func(i int) string { return subs[i].ID })
 }
 

@@ -160,12 +160,13 @@ type Report struct {
 	Diagnostics []analysis.Diagnostic `json:"Diagnostics,omitempty"`
 }
 
-// Stats is the per-report cost accounting block: where the grade's time went
-// (stage durations) and how much work each algorithm performed (Algorithm 1
-// candidate extensions and backtracks, Algorithm 2 method combinations,
-// constraint combination products). It is serialized inside the report JSON
-// so an LMS or a perf harness can track the grading cost per submission.
-// Durations are nanoseconds in JSON.
+// Stats is a grade's cost ledger: where its time went (phase durations) and
+// how much work each algorithm performed (Algorithm 1 candidate extensions
+// and backtracks, Algorithm 2 method combinations, constraint combination
+// products), counted once by the grader from what each layer returns. The
+// report's JSON stats block, the phase spans' attributes and the per-grade
+// metric families all read it: each family is the sum of its field over the
+// grades run. Durations are nanoseconds in JSON.
 type Stats struct {
 	ParseTime      time.Duration `json:"parse_ns"`      // only set on the Grade (source) path
 	InlineTime     time.Duration `json:"inline_ns"`     // helper inlining, when enabled
@@ -209,15 +210,6 @@ type Stats struct {
 	// HTTP layer echoed in X-Request-ID and stamped on the grade's trace, so
 	// a stored report joins against its log line and /v1/trace/{id} entry.
 	RequestID string `json:"request_id,omitempty"`
-}
-
-// addWork folds matcher work counters into the stats.
-func (s *Stats) addWork(w *match.Work) {
-	s.MatchCalls += w.Calls
-	s.MatchSteps += w.Steps
-	s.MatchBacktracks += w.Backtracks
-	s.MatchStepLimitHits += w.StepLimitHits
-	s.Embeddings += w.Embeddings
 }
 
 // AllCorrect reports whether every comment is Correct.
@@ -273,8 +265,9 @@ type Options struct {
 	InlineHelpers bool
 	// Analyzers, when non-nil, runs pattern-independent static analysis over
 	// every submission method's EPDG and attaches the findings to
-	// Report.Diagnostics. Nil disables analysis entirely (zero overhead). A
-	// spec's own Analysis driver takes precedence for its assignment.
+	// Report.Diagnostics. Nil or an empty driver disables analysis entirely
+	// (zero overhead). A spec's own Analysis driver takes precedence for its
+	// assignment.
 	Analyzers *analysis.Driver
 }
 
@@ -291,8 +284,8 @@ const maxMethodCombos = 720
 // identities: patterns are compiled once per spec and graphs once per grade,
 // so pointer equality is exactly value equality here.
 type matchCache struct {
-	entries      map[matchCacheKey][]match.Embedding
-	hits, misses int64
+	entries map[matchCacheKey][]match.Embedding
+	stats   *Stats // charged one hit or one miss per lookup
 }
 
 type matchCacheKey struct {
@@ -300,24 +293,17 @@ type matchCacheKey struct {
 	g *pdg.Graph
 }
 
-func newMatchCache() *matchCache {
-	return &matchCache{entries: map[matchCacheKey][]match.Embedding{}}
-}
-
 // find returns the memoized embeddings of p in g, running the matcher on the
 // first request for the pair.
 func (c *matchCache) find(p *pattern.Compiled, g *pdg.Graph, opts match.Options) (embs []match.Embedding, hit bool) {
-	obs.MatchCacheLookupsTotal.Inc()
 	k := matchCacheKey{p, g}
 	if embs, hit = c.entries[k]; hit {
-		c.hits++
-		obs.MatchCacheHitsTotal.Inc()
+		c.stats.MatchCacheHits++
 		return embs, true
 	}
 	embs = match.FindOpts(p, g, opts)
 	c.entries[k] = embs
-	c.misses++
-	obs.MatchCacheMissesTotal.Inc()
+	c.stats.MatchCacheMisses++
 	return embs, false
 }
 
@@ -348,13 +334,26 @@ func (g *Grader) Grade(src string, spec *AssignmentSpec) (*Report, error) {
 type gradeState struct {
 	spec   *AssignmentSpec
 	start  time.Time
-	stats  *Stats
 	report *Report
 	root   *obs.Span
+	ran    uint8 // bit p set when phase p ran
 	// errored marks a grade that failed before producing a report (parse
 	// error): outcome and status "error" instead of "unmatched".
 	errored bool
 }
+
+// A grade's phases: phaseNames[p] is phase p's span tag and its
+// semfeed_phase_ns label.
+const (
+	parsePhase = iota
+	inlinePhase
+	buildPhase
+	analysisPhase
+	matchPhase
+	constraintPhase
+)
+
+var phaseNames = [...]string{"parse", "inline", "build", "analysis", "match", "constraint"}
 
 // beginGrade opens the trace root and the inflight accounting for one grade.
 func (g *Grader) beginGrade(ctx context.Context, spec *AssignmentSpec) *gradeState {
@@ -362,13 +361,13 @@ func (g *Grader) beginGrade(ctx context.Context, spec *AssignmentSpec) *gradeSta
 	gs := &gradeState{
 		spec:   spec,
 		start:  time.Now(),
-		stats:  &Stats{},
-		report: &Report{Assignment: spec.Name, Bindings: map[string]string{}},
-		root:   obs.StartTrace("grade/" + spec.Name),
+		report: &Report{Assignment: spec.Name, Bindings: map[string]string{}, Stats: &Stats{}},
 	}
-	gs.report.Stats = gs.stats
+	if obs.TracingEnabled() {
+		gs.root = obs.StartTrace("grade/" + spec.Name)
+	}
 	if rid := obs.RequestIDFrom(ctx); rid != "" {
-		gs.stats.RequestID = rid
+		gs.report.Stats.RequestID = rid
 		gs.root.SetTraceID(rid)
 	}
 	if tc, ok := obs.TraceContextFrom(ctx); ok && tc.Valid() {
@@ -379,29 +378,22 @@ func (g *Grader) beginGrade(ctx context.Context, spec *AssignmentSpec) *gradeSta
 	return gs
 }
 
-// endPhase closes one phase span and attributes its cost: the span gets the
-// phase tag, and semfeed_phase_ns{assignment,phase} accumulates the
-// nanoseconds (the exposition-side view of BENCH_tableone's *_ns columns).
-func (gs *gradeState) endPhase(sp *obs.Span, phase string, d time.Duration) {
-	sp.SetAttr("phase", phase)
+// endPhase closes one phase span, tags it with the phase and records that
+// the phase ran, so finish charges its time to semfeed_phase_ns.
+func (gs *gradeState) endPhase(sp *obs.Span, p int) {
+	sp.SetAttr("phase", phaseNames[p])
 	sp.End()
-	obs.PhaseNS.Add(d.Nanoseconds(), gs.spec.Name, phase)
+	gs.ran |= 1 << p
 }
 
-// finish seals the grade: totals, terminal metrics, outcome classification
-// and the root span.
+// finish seals the grade: totals, outcome classification and the root span.
+// It is also the one place a grade's Stats reach the per-grade metric
+// families: a new counter is a Stats field plus one line here.
 func (gs *gradeState) finish(ctx context.Context) {
-	gs.report.Elapsed = time.Since(gs.start)
-	gs.stats.TotalTime = gs.report.Elapsed
+	r, s := gs.report, gs.report.Stats
+	r.Elapsed = time.Since(gs.start)
+	s.TotalTime = r.Elapsed
 	obs.GradesInflight.Dec()
-	obs.GradeSeconds.ObserveDuration(gs.report.Elapsed)
-	obs.GradeScore.Observe(gs.report.Score)
-	obs.GradeMethodCombos.Add(int64(gs.stats.MethodCombos))
-	if gs.report.Matched {
-		obs.GradeMatchedTotal.Inc()
-	} else {
-		obs.GradeUnmatchedTotal.Inc()
-	}
 	status := "ok"
 	switch {
 	case ctx.Err() == context.DeadlineExceeded:
@@ -413,14 +405,49 @@ func (gs *gradeState) finish(ctx context.Context) {
 	case gs.errored:
 		status = "error"
 		gs.root.SetOutcome("error")
-	case !gs.report.Matched:
+	case !r.Matched:
 		status = "unmatched"
 	}
+	if gs.root != nil {
+		gs.root.SetAttr("score", fmt.Sprintf("%.1f/%.1f", r.Score, r.MaxScore))
+		gs.root.SetAttrInt("method_combos", int64(s.MethodCombos))
+		gs.root.SetAttrInt("match_steps", s.MatchSteps)
+		gs.root.End()
+	}
+
 	obs.GradesTotal.Add(1, gs.spec.Name, status)
-	gs.root.SetAttr("score", fmt.Sprintf("%.1f/%.1f", gs.report.Score, gs.report.MaxScore))
-	gs.root.SetAttrInt("method_combos", int64(gs.stats.MethodCombos))
-	gs.root.SetAttrInt("match_steps", gs.stats.MatchSteps)
-	gs.root.End()
+	obs.GradeSeconds.ObserveDuration(r.Elapsed)
+	obs.GradeScore.Observe(r.Score)
+	obs.GradeMethodCombos.Add(int64(s.MethodCombos))
+	if r.Matched {
+		obs.GradeMatchedTotal.Inc()
+	} else {
+		obs.GradeUnmatchedTotal.Inc()
+	}
+	for p, d := range [...]time.Duration{s.ParseTime, s.InlineTime, s.BuildTime, s.AnalysisTime, s.MatchTime, s.ConstraintTime} {
+		if gs.ran&(1<<p) != 0 {
+			obs.PhaseNS.Add(d.Nanoseconds(), gs.spec.Name, phaseNames[p])
+		}
+	}
+	obs.EPDGBuildsTotal.Add(int64(s.Methods))
+	obs.EPDGNodesTotal.Add(int64(s.EPDGNodes))
+	obs.EPDGEdgesTotal.Add(int64(s.EPDGEdges))
+	obs.MatchCallsTotal.Add(s.MatchCalls)
+	obs.MatchStepsTotal.Add(s.MatchSteps)
+	obs.MatchBacktracksTotal.Add(s.MatchBacktracks)
+	obs.MatchEmbeddingsTotal.Add(s.Embeddings)
+	obs.MatchStepLimitTotal.Add(s.MatchStepLimitHits)
+	obs.MatchCacheLookupsTotal.Add(s.MatchCacheHits + s.MatchCacheMisses)
+	obs.MatchCacheHitsTotal.Add(s.MatchCacheHits)
+	obs.MatchCacheMissesTotal.Add(s.MatchCacheMisses)
+	obs.ConstraintChecksTotal.Add(s.ConstraintChecks)
+	obs.ConstraintCombosTotal.Add(s.ConstraintCombos)
+	if gs.ran&(1<<analysisPhase) != 0 {
+		obs.AnalysisRunsTotal.Inc()
+		obs.AnalysisGraphsTotal.Add(int64(s.Methods))
+		obs.AnalysisDiagnosticsTotal.Add(int64(len(r.Diagnostics)))
+		obs.AnalysisSeconds.ObserveDuration(s.AnalysisTime)
+	}
 }
 
 // GradeContext is Grade under a context: a cancelled or expired ctx stops
@@ -435,9 +462,9 @@ func (g *Grader) GradeContext(ctx context.Context, src string, spec *AssignmentS
 	sp := gs.root.Child("parse")
 	t0 := time.Now()
 	unit, err := parser.Parse(src)
-	gs.stats.ParseTime = time.Since(t0)
+	gs.report.Stats.ParseTime = time.Since(t0)
 	sp.SetAttrInt("bytes", int64(len(src)))
-	gs.endPhase(sp, "parse", gs.stats.ParseTime)
+	gs.endPhase(sp, parsePhase)
 	if err != nil {
 		gs.errored = true
 		return nil, err
@@ -465,7 +492,7 @@ func (g *Grader) GradeUnitContext(ctx context.Context, unit *ast.CompilationUnit
 // gradeUnit runs Algorithm 2 over a parsed unit inside an open grade: the
 // phases after parse, each under its own child span of gs.root.
 func (g *Grader) gradeUnit(ctx context.Context, unit *ast.CompilationUnit, spec *AssignmentSpec, gs *gradeState) {
-	stats, report := gs.stats, gs.report
+	stats, report := gs.report.Stats, gs.report
 	for _, m := range spec.Methods {
 		report.MaxScore += float64(len(m.Patterns) + len(m.Groups) + len(m.Constraints))
 	}
@@ -481,7 +508,7 @@ func (g *Grader) gradeUnit(ctx context.Context, unit *ast.CompilationUnit, spec 
 		}
 		unit = inline.Expand(unit, keep)
 		stats.InlineTime = time.Since(t0)
-		gs.endPhase(sp, "inline", stats.InlineTime)
+		gs.endPhase(sp, inlinePhase)
 	}
 	buildSp := gs.root.Child("build_epdg")
 	t0 := time.Now()
@@ -495,22 +522,23 @@ func (g *Grader) gradeUnit(ctx context.Context, unit *ast.CompilationUnit, spec 
 	buildSp.SetAttrInt("methods", int64(stats.Methods))
 	buildSp.SetAttrInt("nodes", int64(stats.EPDGNodes))
 	buildSp.SetAttrInt("edges", int64(stats.EPDGEdges))
-	gs.endPhase(buildSp, "build", stats.BuildTime)
+	gs.endPhase(buildSp, buildPhase)
 	if len(graphs) == 0 {
 		return
 	}
 
 	// Step 1b: pattern-independent static analysis over the fresh EPDGs. The
 	// driver is per-assignment when the spec carries one, else the grader
-	// default; nil means disabled and costs nothing.
-	if driver := g.analysisDriver(spec); driver != nil {
+	// default. A nil or empty driver (a KB's "analyzers": []) disables it:
+	// no span, no phase slice, no counters.
+	if driver := g.analysisDriver(spec); !driver.Empty() {
 		sp := gs.root.Child("analysis")
 		t0 := time.Now()
 		report.Diagnostics = driver.Run(graphs)
 		stats.AnalysisTime = time.Since(t0)
 		stats.AnalysisFindings = analysis.Counts(report.Diagnostics)
 		sp.SetAttrInt("diagnostics", int64(len(report.Diagnostics)))
-		gs.endPhase(sp, "analysis", stats.AnalysisTime)
+		gs.endPhase(sp, analysisPhase)
 	}
 
 	methodNames := make([]string, 0, len(graphs))
@@ -524,7 +552,7 @@ func (g *Grader) gradeUnit(ctx context.Context, unit *ast.CompilationUnit, spec 
 	// (pattern, graph) pair is searched once even when E×A bindings revisit
 	// it under different expected-method names. The whole sweep is one match
 	// phase span; the per-binding spans hang under it.
-	cache := newMatchCache()
+	cache := &matchCache{entries: map[matchCacheKey][]match.Embedding{}, stats: stats}
 	sweepSp := gs.root.Child("match_sweep")
 	sweepStart := time.Now()
 	best := -1.0
@@ -550,23 +578,33 @@ func (g *Grader) gradeUnit(ctx context.Context, unit *ast.CompilationUnit, spec 
 			report.Matched = true
 		}
 	}
-	stats.MatchCacheHits = cache.hits
-	stats.MatchCacheMisses = cache.misses
 	sweepSp.SetAttrInt("combos", int64(stats.MethodCombos))
 	sweepSp.SetAttrInt("match_calls", stats.MatchCalls)
 	sweepSp.SetAttrInt("match_steps", stats.MatchSteps)
 	sweepSp.SetAttrInt("backtracks", stats.MatchBacktracks)
 	sweepSp.SetAttrInt("cache_hits", stats.MatchCacheHits)
 	sweepSp.SetAttrInt("cache_misses", stats.MatchCacheMisses)
-	gs.endPhase(sweepSp, "match", stats.MatchTime)
+	gs.endPhase(sweepSp, matchPhase)
 	// Constraint checking is interleaved with matching inside the sweep; its
 	// aggregate cost gets a summary span so the phase tree attributes it
-	// separately from Algorithm 1 search time.
-	gs.root.RecordChild("constraint_check", sweepStart, stats.ConstraintTime,
-		obs.Attr{Key: "phase", Value: "constraint"},
-		obs.Attr{Key: "checks", Value: strconv.FormatInt(stats.ConstraintChecks, 10)},
-		obs.Attr{Key: "combos", Value: strconv.FormatInt(stats.ConstraintCombos, 10)})
-	obs.PhaseNS.Add(stats.ConstraintTime.Nanoseconds(), spec.Name, "constraint")
+	// separately from Algorithm 1 search time. An untraced grade formats no
+	// attributes for it.
+	if gs.root != nil {
+		gs.root.RecordChild("constraint_check", sweepStart, stats.ConstraintTime,
+			obs.Attr{Key: "phase", Value: phaseNames[constraintPhase]},
+			obs.Attr{Key: "checks", Value: strconv.FormatInt(stats.ConstraintChecks, 10)},
+			obs.Attr{Key: "combos", Value: strconv.FormatInt(stats.ConstraintCombos, 10)})
+	}
+	gs.ran |= 1 << constraintPhase
+}
+
+// childSpan opens parent's child span kind:name, building no name for an
+// untraced grade's nil parent.
+func childSpan(parent *obs.Span, kind, name string) *obs.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(kind + ":" + name)
 }
 
 // renderBinding renders an expected→actual method binding for span attrs.
@@ -668,7 +706,7 @@ func (g *Grader) gradeBinding(ctx context.Context, spec *AssignmentSpec, graphs 
 		statuses := map[string]Status{}
 		// 2.1: match patterns.
 		for _, use := range mspec.Patterns {
-			sp := parent.Child("match:" + use.Pattern.Name())
+			sp := childSpan(parent, "match", use.Pattern.Name())
 			stepsBefore := work.Steps
 			t0 := time.Now()
 			m, hit := cache.find(use.Pattern, graph, mopts)
@@ -690,7 +728,7 @@ func (g *Grader) gradeBinding(ctx context.Context, spec *AssignmentSpec, graphs 
 		// member is tried, the best-scoring one provides the feedback, and
 		// its embeddings become available to constraints under its own name.
 		for _, gu := range mspec.Groups {
-			sp := parent.Child("group:" + gu.Group.Name)
+			sp := childSpan(parent, "group", gu.Group.Name)
 			t0 := time.Now()
 			c := g.groupFeedback(mspec.Name, gu, graph, embs, cache, mopts)
 			st.MatchTime += time.Since(t0)
@@ -700,7 +738,7 @@ func (g *Grader) gradeBinding(ctx context.Context, spec *AssignmentSpec, graphs 
 		}
 		// 2.2: match constraints.
 		for _, con := range mspec.Constraints {
-			sp := parent.Child("constraint:" + con.Name())
+			sp := childSpan(parent, "constraint", con.Name())
 			t0 := time.Now()
 			c, combos := checkConstraint(mspec.Name, con, graph, embs, statuses)
 			st.ConstraintTime += time.Since(t0)
@@ -711,7 +749,11 @@ func (g *Grader) gradeBinding(ctx context.Context, spec *AssignmentSpec, graphs 
 			comments = append(comments, c)
 		}
 	}
-	st.addWork(work)
+	st.MatchCalls += work.Calls
+	st.MatchSteps += work.Steps
+	st.MatchBacktracks += work.Backtracks
+	st.MatchStepLimitHits += work.StepLimitHits
+	st.Embeddings += work.Embeddings
 	score := 0.0
 	for _, c := range comments {
 		score += c.Status.Lambda()

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"semfeed/internal/expr"
-	"semfeed/internal/obs"
 	"semfeed/internal/pattern"
 	"semfeed/internal/pdg"
 )
@@ -123,24 +122,10 @@ type Work struct {
 	Embeddings int64
 	// StepLimitHits is the number of searches that exhausted MaxSteps.
 	StepLimitHits int64
-	// Cancelled is the number of searches abandoned because Options.Done
-	// fired (a serving deadline); their embeddings are partial.
-	Cancelled int64
 	// GammaTries is the number of template tests: one per complete γ
 	// tested against r or r̂ (Algorithm 1 lines 16-19), and one per
 	// variable-free template test of the constant-template prefilter.
 	GammaTries int64
-}
-
-// Add accumulates other into w.
-func (w *Work) Add(other Work) {
-	w.Calls += other.Calls
-	w.Steps += other.Steps
-	w.Backtracks += other.Backtracks
-	w.Embeddings += other.Embeddings
-	w.StepLimitHits += other.StepLimitHits
-	w.Cancelled += other.Cancelled
-	w.GammaTries += other.GammaTries
 }
 
 // Options tune the matcher; the zero value applies the defaults.
@@ -154,8 +139,8 @@ type Options struct {
 	// NoPrefilter disables the constant-template search-space prefilter.
 	// Used by the ablation bench.
 	NoPrefilter bool
-	// Work, when non-nil, receives this call's cost counters (the grader
-	// threads a per-report collector through here).
+	// Work, when non-nil, is charged this call's cost counters. It is the
+	// matcher's only telemetry: the grader folds it into the grade's Stats.
 	Work *Work
 	// Done, when non-nil, cancels the search when it becomes readable
 	// (closed contexts, per-request serving deadlines). The searcher polls
@@ -201,27 +186,16 @@ func FindOpts(p *pattern.Compiled, g *pdg.Graph, opts Options) []Embedding {
 	s.computeOrder()
 	s.search(0)
 
-	work := Work{
-		Calls:      1,
-		Steps:      int64(s.steps),
-		Backtracks: int64(s.backtracks),
-		Embeddings: int64(len(s.out)),
-		GammaTries: int64(s.gammaTries),
+	if w := opts.Work; w != nil {
+		w.Calls++
+		w.Steps += int64(s.steps)
+		w.Backtracks += int64(s.backtracks)
+		w.Embeddings += int64(len(s.out))
+		w.GammaTries += int64(s.gammaTries)
+		if s.steps >= MaxSteps {
+			w.StepLimitHits++
+		}
 	}
-	if s.steps >= MaxSteps {
-		work.StepLimitHits = 1
-	}
-	if s.cancelled {
-		work.Cancelled = 1
-	}
-	if opts.Work != nil {
-		opts.Work.Add(work)
-	}
-	obs.MatchCallsTotal.Inc()
-	obs.MatchStepsTotal.Add(work.Steps)
-	obs.MatchBacktracksTotal.Add(work.Backtracks)
-	obs.MatchEmbeddingsTotal.Add(work.Embeddings)
-	obs.MatchStepLimitTotal.Add(work.StepLimitHits)
 
 	out := pruneDominated(s.out)
 	s.release()

@@ -83,12 +83,14 @@ func referenceFind(p *pattern.Compiled, g *pdg.Graph, opts match.Options) []matc
 	s.searchSpace()
 	s.computeOrder()
 	s.search(0)
-	if opts.Work != nil {
-		w := match.Work{Calls: 1, Steps: int64(s.steps), Backtracks: int64(s.backtracks), Embeddings: int64(len(s.out))}
+	if w := opts.Work; w != nil {
+		w.Calls++
+		w.Steps += int64(s.steps)
+		w.Backtracks += int64(s.backtracks)
+		w.Embeddings += int64(len(s.out))
 		if s.steps >= match.MaxSteps {
-			w.StepLimitHits = 1
+			w.StepLimitHits++
 		}
-		opts.Work.Add(w)
 	}
 	return refPruneDominated(s.out)
 }

@@ -10,10 +10,12 @@
 //     for. Every hook is gated on an atomic enabled flag and is a
 //     zero-allocation no-op when disabled (verified by
 //     TestDisabledHooksAllocateNothing and BenchmarkDisabledHooks).
-//  2. Hot loops never call obs per iteration: the pipeline stages keep local
-//     counters and flush once per call (see internal/match, internal/interp).
+//  2. Hot loops never call obs per iteration: the parser and the interpreter
+//     keep local counters and flush once per call. The EPDG builder, matcher,
+//     constraint checker and analysis driver do not import obs at all: core
+//     publishes each grade's core.Stats once, when the grade finishes.
 //  3. No dependencies beyond the standard library, and no imports of other
-//     semfeed packages, so every pipeline stage can import obs.
+//     semfeed packages, so any layer can import obs.
 package obs
 
 import (

@@ -1,9 +1,9 @@
 package obs
 
-// The named pipeline metrics. Every stage of parse → EPDG build → Algorithm 1
-// matching → Algorithm 2 combination search → constraints → interpreter flushes
-// into these; the names below are the stable exposition surface documented in
-// README.md ("Observability").
+// The named pipeline metrics, the stable exposition surface documented in
+// README.md ("Observability"). The per-grade families are sums of
+// core.Stats, written in one place when core finishes a grade; the parser,
+// the interpreter, the batch engine and the serving tiers count their own.
 //
 // Convention: counters end in _total; histograms of latencies end in
 // _seconds; all names share the semfeed_ prefix.
@@ -26,14 +26,13 @@ var (
 	MatchStepLimitTotal  = NewCounter("semfeed_match_step_limit_total", "Searches that exhausted the step budget.")
 
 	// Per-grade match memoization (the Algorithm 2 binding-sweep cache).
-	// Every lookup is exactly a hit or a miss, so at any quiescent point
-	// lookups == hits + misses (pinned by TestMatchCacheCountersConsistent).
+	// Every lookup is exactly a hit or a miss: lookups == hits + misses.
 	MatchCacheLookupsTotal = NewCounter("semfeed_match_cache_lookups_total", "Pattern searches requested from the per-grade cache (hits + misses).")
 	MatchCacheHitsTotal    = NewCounter("semfeed_match_cache_hits_total", "Pattern searches served from the per-grade cache.")
 	MatchCacheMissesTotal  = NewCounter("semfeed_match_cache_misses_total", "Pattern searches computed and stored in the per-grade cache.")
 
 	// Constraint checking (Definitions 8-10).
-	ConstraintChecksTotal = NewCounter("semfeed_constraint_checks_total", "Constraint evaluations.")
+	ConstraintChecksTotal = NewCounter("semfeed_constraint_checks_total", "Constraint verdicts produced by Algorithm 2, including those forced NotExpected by a referenced pattern.")
 	ConstraintCombosTotal = NewCounter("semfeed_constraint_combos_total", "Embedding combinations examined by constraint checks.")
 
 	// Interpreter (functional testing back end).

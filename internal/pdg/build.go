@@ -4,7 +4,6 @@ import (
 	"semfeed/internal/java/ast"
 	"semfeed/internal/java/pretty"
 	"semfeed/internal/java/token"
-	"semfeed/internal/obs"
 )
 
 // BuildOpts select between the EPDG construction conventions the paper
@@ -52,9 +51,6 @@ func BuildWith(m *ast.Method, opts BuildOpts) *Graph {
 	if m.Body != nil {
 		b.stmts(m.Body.Stmts, -1, defs)
 	}
-	obs.EPDGBuildsTotal.Inc()
-	obs.EPDGNodesTotal.Add(int64(len(b.nodes)))
-	obs.EPDGEdgesTotal.Add(int64(len(b.edges)))
 	return NewGraph(m.Name, b.nodes, b.edges)
 }
 

@@ -66,7 +66,7 @@ func TestGradeResponseCarriesDiagnostics(t *testing.T) {
 	defPath := filepath.Join(dir, "lint.json")
 	writeAnalysisDef(t, defPath, "")
 
-	reg := NewRegistry(dir, t.Logf)
+	reg := NewRegistry(dir, nil)
 	if err := reg.Load(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestGradeResponseCarriesDiagnostics(t *testing.T) {
 func TestGradeResponseNoDiagnosticsWhenDisabled(t *testing.T) {
 	dir := t.TempDir()
 	writeAnalysisDef(t, filepath.Join(dir, "lint.json"), "")
-	reg := NewRegistry(dir, t.Logf)
+	reg := NewRegistry(dir, nil)
 	if err := reg.Load(); err != nil {
 		t.Fatal(err)
 	}

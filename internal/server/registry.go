@@ -3,7 +3,9 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,8 +37,8 @@ type Entry struct {
 // and swap it in, so in-flight grades keep the spec they started with and
 // are never blocked by a reload.
 type Registry struct {
-	dir  string
-	logf func(format string, args ...any)
+	dir    string
+	logger *slog.Logger
 
 	snap atomic.Pointer[map[string]*Entry]
 
@@ -48,15 +50,20 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry over dir (may be empty for builtin-only
-// serving). logf receives reload diagnostics; nil discards them.
-func NewRegistry(dir string, logf func(format string, args ...any)) *Registry {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	r := &Registry{dir: dir, logf: logf, builtins: map[string]*Entry{}}
+// serving). logger receives one line per reload and per rejected
+// definition; nil falls back to the process-wide obs.Logger().
+func NewRegistry(dir string, logger *slog.Logger) *Registry {
+	r := &Registry{dir: dir, logger: logger, builtins: map[string]*Entry{}}
 	empty := map[string]*Entry{}
 	r.snap.Store(&empty)
 	return r
+}
+
+func (r *Registry) log() *slog.Logger {
+	if r.logger != nil {
+		return r.logger
+	}
+	return obs.Logger()
 }
 
 // AddBuiltin registers a compiled-in assignment. Builtins are part of every
@@ -98,7 +105,7 @@ func (r *Registry) Start(interval time.Duration) {
 			case <-tick.C:
 				snap, err := r.build(*r.snap.Load())
 				if err != nil {
-					r.logf("kb reload: %v", err)
+					r.log().Warn("kb_reload_failed", "error", err)
 					obs.ServerKBErrorsTotal.Inc()
 					continue
 				}
@@ -168,8 +175,7 @@ func (r *Registry) build(prev map[string]*Entry) (map[string]*Entry, error) {
 		path := filepath.Join(r.dir, f.Name())
 		data, err := os.ReadFile(path)
 		if err != nil {
-			r.logf("kb: %s: %v", path, err)
-			obs.ServerKBErrorsTotal.Inc()
+			r.reject(path, err)
 			continue
 		}
 		sum := sha256.Sum256(data)
@@ -180,24 +186,26 @@ func (r *Registry) build(prev map[string]*Entry) (map[string]*Entry, error) {
 		}
 		def, err := kb.ReadAssignmentDef(strings.NewReader(string(data)))
 		if err != nil {
-			r.logf("kb: %s: %v", path, err)
-			obs.ServerKBErrorsTotal.Inc()
+			r.reject(path, err)
 			continue
 		}
 		spec, errs := def.Compile()
 		if len(errs) > 0 {
-			for _, e := range errs {
-				r.logf("kb: %s: %v", path, e)
-			}
-			obs.ServerKBErrorsTotal.Inc()
+			r.reject(path, errors.Join(errs...))
 			continue
 		}
 		if old, clash := next[def.ID]; clash && old.Source != path {
-			r.logf("kb: %s overrides %s for assignment %s", path, old.Source, def.ID)
+			r.log().Info("kb_override", "path", path, "overrides", old.Source, "assignment", def.ID)
 		}
 		next[def.ID] = &Entry{ID: def.ID, Version: version, Spec: spec, Source: path}
 	}
 	return next, nil
+}
+
+// reject logs and counts one definition file left out of the snapshot.
+func (r *Registry) reject(path string, err error) {
+	r.log().Warn("kb_reject", "path", path, "error", err)
+	obs.ServerKBErrorsTotal.Inc()
 }
 
 // publish swaps the snapshot in if it differs from the current one.
@@ -209,8 +217,7 @@ func (r *Registry) publish(next map[string]*Entry) {
 	r.snap.Store(&next)
 	obs.ServerKBReloadsTotal.Inc()
 	obs.ServerKBAssignments.Set(int64(len(next)))
-	r.logf("kb: serving %d assignments", len(next))
-	obs.Logger().Info("kb_reload", "assignments", len(next))
+	r.log().Info("kb_reload", "assignments", len(next))
 }
 
 func sameSnapshot(a, b map[string]*Entry) bool {

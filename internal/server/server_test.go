@@ -376,7 +376,7 @@ func TestKBHotReloadAndCacheKeying(t *testing.T) {
 	}
 	write("seq-even-access")
 
-	reg := NewRegistry(dir, t.Logf)
+	reg := NewRegistry(dir, nil)
 	if err := reg.Load(); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRegistrySkipsMalformedFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(dir, t.Logf)
+	reg := NewRegistry(dir, nil)
 	if err := reg.Load(); err != nil {
 		t.Fatal(err)
 	}

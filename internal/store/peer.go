@@ -26,17 +26,14 @@ type Peer struct {
 	client *http.Client
 }
 
-// NewPeer returns a store over base's /v1/store endpoint. client may be nil
-// for a short-timeout default (a peer fill that is slower than grading is
-// worse than a miss).
-func NewPeer(base string, client *http.Client) *Peer {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
+// NewPeer returns a store over base's /v1/store endpoint. Its client times
+// out after 2 s: a peer fill that is slower than grading is worse than a
+// miss.
+func NewPeer(base string) *Peer {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
 	}
-	return &Peer{base: base, client: client}
+	return &Peer{base: base, client: &http.Client{Timeout: 2 * time.Second}}
 }
 
 // Base returns the peer's base URL.

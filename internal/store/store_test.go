@@ -121,7 +121,7 @@ func TestPeerStoreHTTP(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	p := NewPeer(srv.URL+"/", nil) // trailing slash must be tolerated
+	p := NewPeer(srv.URL + "/") // trailing slash must be tolerated
 	key := k("assignment1", "deadbeef", "src")
 
 	if _, ok := p.Get(key); ok {
@@ -155,7 +155,7 @@ func TestPeerRejectsNonJSON(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	p := NewPeer(srv.URL, nil)
+	p := NewPeer(srv.URL)
 	key := k("assignment1", "deadbeef", "src")
 	before := obs.StorePeerErrorsTotal.Value()
 	if body, ok := p.Get(key); ok {
