@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/java/parser -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/interp -fuzz FuzzRun -fuzztime 30s
 	$(GO) test ./internal/expr -fuzz FuzzTemplateMatch -fuzztime 30s
+	$(GO) test ./internal/java/lexer -fuzz FuzzLexer -fuzztime 30s
 
 fmt:
 	gofmt -w .

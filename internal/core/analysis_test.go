@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -149,7 +150,7 @@ func TestEmptyAnalysisDriverIsOff(t *testing.T) {
 func TestBatchGraderCarriesDiagnostics(t *testing.T) {
 	g := core.NewGrader(core.Options{Analyzers: analysis.DefaultDriver()})
 	bg := core.NewBatchGrader(g, core.BatchOptions{})
-	res, _ := bg.GradeAll(t.Context(), sumSpec("total"), []core.Submission{
+	res, _ := bg.GradeAll(context.Background(), sumSpec("total"), []core.Submission{
 		{ID: "bad", Src: buggySum},
 	})
 	if len(res) != 1 || res[0].Report == nil {

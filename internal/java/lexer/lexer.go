@@ -1,5 +1,11 @@
 // Package lexer implements a scanner for the Java subset. It produces the
 // token stream consumed by the parser and skips comments and annotations.
+//
+// The scanner works on bytes and decodes a rune only where the source is not
+// ASCII, so Unicode letters still form identifiers and columns still count
+// runes. Identifier, keyword, number and escape-free string literals are
+// substrings of the source: a token's Lit keeps the source alive for as long
+// as it is held.
 package lexer
 
 import (
@@ -32,11 +38,22 @@ func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errors = append(l.errors, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
-func (l *Lexer) peek() rune {
+// decode returns the rune at the read offset and its width, decoding only
+// non-ASCII bytes, or 0, 0 at the end of the source.
+func (l *Lexer) decode() (rune, int) {
 	if l.off >= len(l.src) {
-		return 0
+		return 0, 0
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.off:])
+}
+
+// peek returns the rune at the read offset, or 0 at the end of the source.
+// A NUL byte also reads as 0, so it ends the token stream.
+func (l *Lexer) peek() rune {
+	r, _ := l.decode()
 	return r
 }
 
@@ -53,11 +70,11 @@ func (l *Lexer) peek2() rune {
 }
 
 func (l *Lexer) next() rune {
-	if l.off >= len(l.src) {
+	r, w := l.decode()
+	l.off += w
+	if w == 0 {
 		return 0
 	}
-	r, w := utf8.DecodeRuneInString(l.src[l.off:])
-	l.off += w
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -72,27 +89,37 @@ func (l *Lexer) pos() token.Pos {
 }
 
 func isIdentStart(r rune) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || r == '_' || r == '$'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return isIdentStart(r) || unicode.IsDigit(r)
+	if r < utf8.RuneSelf {
+		return isIdentStart(r) || isDigit(r)
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 func isDigit(r rune) bool { return r >= '0' && r <= '9' }
 
 // skipSpaceAndComments advances past whitespace, // and /* */ comments.
 func (l *Lexer) skipSpaceAndComments() {
-	for {
-		r := l.peek()
-		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
-			l.next()
-		case r == '/' && l.peek2() == '/':
+	for l.off < len(l.src) {
+		switch c := l.src[l.off]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			l.off++
+			l.col++
+		case c == '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case c == '/' && l.peek2() == '/':
 			for l.peek() != 0 && l.peek() != '\n' {
 				l.next()
 			}
-		case r == '/' && l.peek2() == '*':
+		case c == '/' && l.peek2() == '*':
 			start := l.pos()
 			l.next()
 			l.next()
@@ -137,9 +164,16 @@ func (l *Lexer) Next() token.Token {
 	return l.scanOperator(pos)
 }
 
+// maxPreallocTokens caps All's first allocation (48 bytes a token on 64-bit),
+// so a long comment-only source does not reserve memory in proportion to its
+// bytes; a source with more tokens grows the slice as append does.
+const maxPreallocTokens = 1 << 14
+
 // All scans the whole source and returns every token including the final EOF.
 func (l *Lexer) All() []token.Token {
-	var out []token.Token
+	// Submissions run 2.3 to 3.6 source bytes a token, so half the byte
+	// count holds every token of one in a single allocation.
+	out := make([]token.Token, 0, min(len(l.src)/2+1, maxPreallocTokens))
 	for {
 		t := l.Next()
 		out = append(out, t)
@@ -150,83 +184,110 @@ func (l *Lexer) All() []token.Token {
 }
 
 func (l *Lexer) scanIdent(pos token.Pos) token.Token {
-	var sb strings.Builder
-	for isIdentPart(l.peek()) {
-		sb.WriteRune(l.next())
+	start := l.off
+	for r, w := l.decode(); w > 0 && isIdentPart(r); r, w = l.decode() {
+		l.off += w
+		l.col++
 	}
-	lit := sb.String()
-	kind := token.Lookup(lit)
-	if kind != token.IDENT {
-		return token.Token{Kind: kind, Lit: lit, Pos: pos}
-	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: pos}
+	lit := l.src[start:l.off]
+	return token.Token{Kind: token.Lookup(lit), Lit: lit, Pos: pos}
 }
 
+// scanNumber scans a numeric literal. Its text is ASCII, so the literal is
+// the source slice with digit separators removed and the type suffix left
+// off.
 func (l *Lexer) scanNumber(pos token.Pos) token.Token {
-	var sb strings.Builder
+	start := l.off
 	kind := token.INT
 	// Hex/binary/octal prefixes.
-	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
-		sb.WriteRune(l.next())
-		sb.WriteRune(l.next())
-		for isHexDigit(l.peek()) || l.peek() == '_' {
-			sb.WriteRune(l.next())
-		}
-	} else if l.peek() == '0' && (l.peek2() == 'b' || l.peek2() == 'B') {
-		sb.WriteRune(l.next())
-		sb.WriteRune(l.next())
-		for l.peek() == '0' || l.peek() == '1' || l.peek() == '_' {
-			sb.WriteRune(l.next())
-		}
+	if l.at(0, '0') && (l.at(1, 'x') || l.at(1, 'X')) {
+		l.off += 2
+		l.skipWhile(func(c byte) bool { return isHexDigit(rune(c)) || c == '_' })
+	} else if l.at(0, '0') && (l.at(1, 'b') || l.at(1, 'B')) {
+		l.off += 2
+		l.skipWhile(func(c byte) bool { return c == '0' || c == '1' || c == '_' })
 	} else {
-		for isDigit(l.peek()) || l.peek() == '_' {
-			sb.WriteRune(l.next())
-		}
-		if l.peek() == '.' && isDigit(l.peek2()) {
+		l.skipWhile(isDecimalOrSep)
+		if l.at(0, '.') && l.off+1 < len(l.src) && isDigit(rune(l.src[l.off+1])) {
 			kind = token.FLOAT
-			sb.WriteRune(l.next())
-			for isDigit(l.peek()) || l.peek() == '_' {
-				sb.WriteRune(l.next())
-			}
+			l.off++
+			l.skipWhile(isDecimalOrSep)
 		}
-		if l.peek() == 'e' || l.peek() == 'E' {
-			save := *l
-			var exp strings.Builder
-			exp.WriteRune(l.next())
-			if l.peek() == '+' || l.peek() == '-' {
-				exp.WriteRune(l.next())
+		if l.at(0, 'e') || l.at(0, 'E') {
+			// Not an exponent without digits (e.g. "1e" then ident).
+			exp := l.off + 1
+			if exp < len(l.src) && (l.src[exp] == '+' || l.src[exp] == '-') {
+				exp++
 			}
-			if isDigit(l.peek()) {
+			if exp < len(l.src) && isDigit(rune(l.src[exp])) {
 				kind = token.FLOAT
-				for isDigit(l.peek()) {
-					exp.WriteRune(l.next())
-				}
-				sb.WriteString(exp.String())
-			} else {
-				*l = save // not an exponent after all (e.g. "1e" then ident)
+				l.off = exp
+				l.skipWhile(func(c byte) bool { return isDigit(rune(c)) })
 			}
 		}
 	}
-	switch l.peek() {
-	case 'l', 'L':
-		l.next()
-		if kind == token.INT {
-			kind = token.LONG
-		}
-	case 'f', 'F', 'd', 'D':
-		l.next()
-		kind = token.FLOAT
+	lit := l.src[start:l.off]
+	if strings.IndexByte(lit, '_') >= 0 {
+		lit = strings.ReplaceAll(lit, "_", "")
 	}
-	return token.Token{Kind: kind, Lit: strings.ReplaceAll(sb.String(), "_", ""), Pos: pos}
+	if l.off < len(l.src) {
+		switch l.src[l.off] {
+		case 'l', 'L':
+			l.off++
+			if kind == token.INT {
+				kind = token.LONG
+			}
+		case 'f', 'F', 'd', 'D':
+			l.off++
+			kind = token.FLOAT
+		}
+	}
+	l.col += l.off - start
+	return token.Token{Kind: kind, Lit: lit, Pos: pos}
+}
+
+func isDecimalOrSep(c byte) bool { return isDigit(rune(c)) || c == '_' }
+
+// at reports whether the byte i past the read offset is c.
+func (l *Lexer) at(i int, c byte) bool {
+	return l.off+i < len(l.src) && l.src[l.off+i] == c
+}
+
+// skipWhile advances the read offset over ASCII bytes that satisfy ok; the
+// caller moves the column.
+func (l *Lexer) skipWhile(ok func(byte) bool) {
+	for l.off < len(l.src) && ok(l.src[l.off]) {
+		l.off++
+	}
 }
 
 func isHexDigit(r rune) bool {
 	return isDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
 }
 
+// scanString scans a string literal. A literal of ASCII text without escapes
+// is its source slice; any other is decoded rune by rune, so escapes are
+// resolved and invalid UTF-8 reads as utf8.RuneError.
 func (l *Lexer) scanString(pos token.Pos) token.Token {
 	l.next() // opening quote
+	start := l.off
+	end := start
+	for end < len(l.src) {
+		c := l.src[end]
+		if c == '"' {
+			l.off = end + 1
+			l.col += end + 1 - start
+			return token.Token{Kind: token.STRING, Lit: l.src[start:end], Pos: pos}
+		}
+		if c == '\\' || c == '\n' || c == 0 || c >= utf8.RuneSelf {
+			break
+		}
+		end++
+	}
 	var sb strings.Builder
+	sb.WriteString(l.src[start:end])
+	l.off = end
+	l.col += end - start
 	for {
 		r := l.peek()
 		if r == 0 || r == '\n' {
@@ -314,11 +375,13 @@ func (l *Lexer) scanChar(pos token.Pos) token.Token {
 	return token.Token{Kind: token.CHAR, Lit: string(v), Pos: pos}
 }
 
-// operator table ordered longest-first per leading rune.
-var operators = map[rune][]struct {
+type operator struct {
 	text string
 	kind token.Kind
-}{
+}
+
+// operators lists the operators by leading byte, longest first.
+var operators = [utf8.RuneSelf][]operator{
 	'=': {{"==", token.EQL}, {"=", token.ASSIGN}},
 	'+': {{"+=", token.ADDASSIGN}, {"++", token.INC}, {"+", token.ADD}},
 	'-': {{"-=", token.SUBASSIGN}, {"--", token.DEC}, {"-", token.SUB}},
@@ -346,24 +409,20 @@ var operators = map[rune][]struct {
 	'@': {{"@", token.AT}},
 }
 
+// scanOperator scans an operator or reports an illegal character. It is
+// called only before a non-NUL byte.
 func (l *Lexer) scanOperator(pos token.Pos) token.Token {
-	r := l.peek()
-	cands, ok := operators[r]
-	if !ok {
-		l.next()
-		l.errorf(pos, "illegal character %q", r)
-		return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: pos}
-	}
-	rest := l.src[l.off:]
-	for _, c := range cands {
-		if strings.HasPrefix(rest, c.text) {
-			for range c.text {
-				l.next()
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		rest := l.src[l.off:]
+		for _, op := range operators[c] {
+			if strings.HasPrefix(rest, op.text) {
+				l.off += len(op.text)
+				l.col += len(op.text)
+				return token.Token{Kind: op.kind, Lit: op.text, Pos: pos}
 			}
-			return token.Token{Kind: c.kind, Lit: c.text, Pos: pos}
 		}
 	}
-	// Unreachable: every candidate list ends with its single-rune form.
-	l.next()
+	r := l.next()
+	l.errorf(pos, "illegal character %q", r)
 	return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: pos}
 }

@@ -1,10 +1,12 @@
 package lexer_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"semfeed/internal/assignments"
 	"semfeed/internal/java/lexer"
 	"semfeed/internal/java/token"
 )
@@ -174,4 +176,63 @@ func TestQuickIdentifiersRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// diffReference returns how the lexer's tokens and errors on src differ from
+// the reference lexer's (reference_test.go), or "" when they agree.
+func diffReference(src string) string {
+	lx, ref := lexer.New(src), newRefLexer(src)
+	got, want := lx.All(), ref.All()
+	for i := 0; i < len(got) || i < len(want); i++ {
+		switch {
+		case i >= len(got):
+			return fmt.Sprintf("token %d: missing, reference %+v", i, want[i])
+		case i >= len(want):
+			return fmt.Sprintf("token %d: %+v, reference has none", i, got[i])
+		case got[i] != want[i]:
+			return fmt.Sprintf("token %d: %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	gotErrs, wantErrs := fmt.Sprint(lx.Errors()), fmt.Sprint(ref.Errors())
+	if gotErrs != wantErrs {
+		return fmt.Sprintf("errors %s, reference %s", gotErrs, wantErrs)
+	}
+	return ""
+}
+
+// FuzzLexer holds the lexer to the reference lexer on arbitrary input:
+// the same tokens, positions and errors. Its seeds are edge cases plus every
+// reference solution and SampleSeed(200, 1) submission of the assignments,
+// so a plain go test run compares the two lexers on all of those.
+func FuzzLexer(f *testing.F) {
+	for _, a := range assignments.All() {
+		f.Add(a.Reference())
+		for _, k := range a.Synth.SampleSeed(200, 1) {
+			f.Add(a.Synth.Render(k))
+		}
+	}
+	for _, s := range []string{
+		"void f(int[] a) { int s = 0; for (int i = 0; i < a.length; i++) s += a[i]; }",
+		`String s = "abc`,
+		"\"line\nbreak\"",
+		`/* never closed`,
+		"// to the end",
+		"/* a */ /**/ /*/ x",
+		`"Aé" 'A' "\u12" "\q" '\'`,
+		"x = 1e; y = 1e+; z = 2.5E-3d;",
+		"0x_1 0XfFL 0b_10 0B2 1_000L 1__0 .5 5. 1.e3 07f",
+		">>>= >>> >>= >> <<= <<< ... .. !== &&= ||= ^^",
+		"int\tx;\r\nx\r\n=\t1;\r\n",
+		"int übung = 1; String 名前 = \"é\"; int x١ = 2; // é\n",
+		"a\x00b /* \x00 */",
+		"\xff\xfe id\xe2\x82 \"\xc3\" // \xe2\x82",
+		"'' 'ab' '\n' # ` \\",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if d := diffReference(src); d != "" {
+			t.Fatalf("%q: %s", src, d)
+		}
+	})
 }

@@ -298,10 +298,11 @@ func writeLiteral(sb *strings.Builder, x *ast.Literal) {
 	}
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("\\", `\\`, "\"", `\"`, "'", `\'`, "\n", `\n`, "\t", `\t`, "\r", `\r`)
-	return r.Replace(s)
-}
+// escaper re-escapes literal text. Every old string is one byte, so Replace
+// returns text with nothing to escape without allocating.
+var escaper = strings.NewReplacer("\\", `\\`, "\"", `\"`, "'", `\'`, "\n", `\n`, "\t", `\t`, "\r", `\r`)
+
+func escape(s string) string { return escaper.Replace(s) }
 
 // Tokens splits a canonical rendering into its lexical tokens. It is used by
 // containment constraints and by approximate matching.

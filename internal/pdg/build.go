@@ -76,10 +76,13 @@ func BuildAllWith(unit *ast.CompilationUnit, opts BuildOpts) map[string]*Graph {
 // the one-iteration linearization.
 type defEnv map[string][]int
 
+// clone shares each definition list with d, clipped to its length, so that
+// weak's append on either environment copies the list instead of writing
+// into the other's; kill installs a fresh list.
 func (d defEnv) clone() defEnv {
 	out := make(defEnv, len(d))
 	for k, v := range d {
-		out[k] = append([]int(nil), v...)
+		out[k] = v[:len(v):len(v)]
 	}
 	return out
 }

@@ -116,7 +116,7 @@ func TestEPDGBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	const ceiling = 260
+	const ceiling = 190
 	m, err := parser.ParseMethod(assignments.Get("rit-all-g-medals").Reference())
 	if err != nil {
 		t.Fatal(err)
